@@ -18,10 +18,9 @@ this module runs the induction on a concrete
 :class:`~repro.networks.delta.ReverseDeltaNetwork`, producing the refined
 pattern, the sets, the symbolic output state, and a per-level trace.
 
-Algorithmic skeleton (matching the proof text):
+Algorithmic skeleton (matching the proof text), per tree node:
 
-* recurse into the two child networks, obtaining their set collections
-  and refined patterns;
+* take the two children's refined set collections;
 * scan the node's final level :math:`\\Gamma_{l+1}` for **collision
   sets** :math:`C_{i,j}` -- child-0 tokens of set :math:`M_{0,i}` meeting
   child-1 tokens of set :math:`M_{1,j}` at a comparator (token positions
@@ -36,17 +35,33 @@ Algorithmic skeleton (matching the proof text):
   **shift** every child-1 band symbol up by :math:`i_0` (step 2'), which
   merges :math:`M_{1, j-i_0}` into the new :math:`M_j`;
 * steps 1/1' of the paper (clearing indices above ``t(l)``) are no-ops
-  here because the recursion never mints such indices -- asserted, not
+  here because the induction never mints such indices -- asserted, not
   assumed.
 
-The global-index bookkeeping uses one shared symbol array per position
-and one per input wire, mutated in place; children touch disjoint
-positions, so the recursion needs no copying.
+How it runs: a height sweep over the block array form
+(:class:`~repro.networks.delta.BlockArrays`).  The proof recurses, but a
+node's step reads and writes only the wires of its own subtree, and
+same-height nodes own disjoint wires; so running every height-1 node,
+then every height-2 node, and so on, gives exactly the state the
+post-order recursion gives.  Each of the steps above is one array
+operation per height over int64 **symbol codes** that keep the paper's
+order::
+
+    S0 = 0  <  X(i, j) = i*n + 1 + j  <  M(i) = (i+1)*n  <  L0 = 2**62
+
+(``j < n - 1`` is a node's post-order number, so ``X(i, .) < M(i) <
+X(i+1, .)``).  A band shift by ``s`` adds ``s*n`` to a code.  The fresh
+second index ``j0`` of a node is its post-order number, as in the
+recursion, and ``trace.nodes`` is reported in post-order.  The built-in
+``"random"`` strategy takes its per-node draws in post-order too, so
+its results match the recursion's draw for draw; a custom
+:data:`ShiftStrategy` is called once per node in height order.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,10 +69,10 @@ import numpy as np
 
 from ..errors import GuaranteeError, PatternError, PropagationError
 from ..networks.delta import ReverseDeltaNetwork
-from ..networks.gates import Op
+from ..networks.gates import OP_CODE, Op
 from ..obs import events as obs_events
 from ..obs.trace import get_tracer
-from .alphabet import M, Symbol, X
+from .alphabet import L, M, S, Symbol, X
 from .pattern import Pattern
 from .propagate import SymbolicState
 
@@ -79,14 +94,16 @@ def t_sets(l: int, k: int) -> int:
 
 #: A shift strategy picks ``i_0`` from the per-shift loss table.  Called
 #: with ``(losses, k, rng)`` where ``losses[s]`` is ``|L_s|`` for shifts
-#: ``s`` in ``[0, k^2)``; must return the chosen shift.
+#: ``s`` in ``[0, k^2)``; must return the chosen shift.  It is called
+#: once per internal node, nodes in height order (all height-1 nodes,
+#: then height 2, ...), with that node's own list.
 ShiftStrategy = Callable[[list[int], int, "np.random.Generator | None"], int]
 
 
 def _shift_argmin(
     losses: list[int], k: int, rng: np.random.Generator | None
 ) -> int:
-    return int(np.argmin(losses))
+    return losses.index(min(losses))
 
 
 def _shift_random(
@@ -102,7 +119,7 @@ def _shift_random(
 def _shift_worst(
     losses: list[int], k: int, rng: np.random.Generator | None
 ) -> int:
-    return int(np.argmax(losses))
+    return losses.index(max(losses))
 
 
 SHIFT_STRATEGIES: dict[str, ShiftStrategy] = {
@@ -260,185 +277,298 @@ def run_lemma41(
             "shift_strategy='random' draws from rng; pass a seed-derived "
             "np.random.Generator (there is no implicit default stream)"
         )
-    k2 = k * k
     tracer = get_tracer()
-    traced = tracer.enabled
-
-    a_set = pattern.m_set(0)
-    # Global mutable state.  Children own disjoint positions, so one array
-    # per role suffices for the whole recursion.
-    assign: list[Symbol] = list(pattern.symbols)  # refined input pattern
-    sym: list[Symbol] = list(pattern.symbols)  # symbol at each position
-    tok: dict[int, int] = {w: w for w in a_set}  # position -> input wire
-    trace = Lemma41Trace()
-    fresh_x = [0]  # next fresh second index for demotion symbols
-
-    def recurse(node: ReverseDeltaNetwork) -> dict[int, set[int]]:
-        if node.is_leaf:
-            w = node.wires[0]
-            return {0: {w}} if assign[w] is M(0) else {}
-        sets0 = recurse(node.child0)
-        sets1 = recurse(node.child1)
-        t_child = t_sets(node.levels - 1, k)
-
-        # --- collision scan over the final level ------------------------
-        # C[(i, j)]: child-0 wires of M_{0,i} meeting child-1 tokens of
-        # M_{1,j} at a comparator, with the position they occupy.
-        collisions: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-        n_collisions = 0
-        for g in node.final:
-            if not g.op.is_comparator:
-                continue
-            wa = tok.get(g.a)
-            wb = tok.get(g.b)
-            if wa is None or wb is None:
-                continue
-            sa, sb = sym[g.a], sym[g.b]
-            assert sa.is_medium and sb.is_medium, "tracked token lost its symbol"
-            collisions[(sa.i, sb.i)].append((wa, g.a))
-            n_collisions += 1
-
-        # --- choose the shift i_0 ---------------------------------------
-        losses = [0] * k2
-        for (i, j), entries in collisions.items():
-            s = i - j
-            if 0 <= s < k2:
-                losses[s] += len(entries)
-        i0 = strategy(losses, k, rng)
-        if not 0 <= i0 < k2:
-            raise PatternError(f"shift strategy returned {i0} outside [0, {k2})")
-
-        # --- demote colliding child-0 wires (refinement step 2) -----------
-        j0 = fresh_x[0]
-        fresh_x[0] += 1
-        demoted = 0
-        for (i, j), entries in collisions.items():
-            if i - j != i0:
-                continue
-            for wire, pos in entries:
-                new_sym = X(i, j0)
-                assign[wire] = new_sym
-                sym[pos] = new_sym
-                del tok[pos]
-                demoted += 1
-            if i in sets0:
-                sets0[i] -= {wire for wire, _ in entries}
-                if not sets0[i]:
-                    del sets0[i]
-
-        # --- shift child-1 band symbols up by i_0 (step 2') ---------------
-        if i0:
-            for w in node.child1.wires:
-                if assign[w].is_medium or assign[w].is_x:
-                    assign[w] = assign[w].shifted(i0)
-                s = sym[w]
-                if s.is_medium or s.is_x:
-                    sym[w] = s.shifted(i0)
-
-        # --- merge the set collections -----------------------------------
-        merged: dict[int, set[int]] = sets0
-        for j, s in sets1.items():
-            idx = j + i0
-            if idx in merged:
-                merged[idx] |= s
-            else:
-                merged[idx] = s
-
-        # --- run the final level on the symbolic state -------------------
-        for g in node.final:
-            _apply_gate(g)
-
-        elements_after = sum(len(s) for s in merged.values())
-        trace.nodes.append(
-            NodeRecord(
-                height=node.levels,
-                collisions=n_collisions,
-                chosen_shift=i0,
-                demoted=demoted,
-                elements_after=elements_after,
-            )
-        )
-        if traced:
-            histogram: dict[str, int] = {}
-            for entries in collisions.values():
-                size = str(len(entries))
-                histogram[size] = histogram.get(size, 0) + 1
-            tracer.event(
-                obs_events.EV_NODE,
-                height=node.levels,
-                collisions=n_collisions,
-                collision_sets=len(collisions),
-                histogram=histogram,
-                shift=i0,
-                matched=losses[i0],
-                demoted=demoted,
-                elements_after=elements_after,
-            )
-        return merged
-
-    def _apply_gate(g) -> None:
-        a, b = g.a, g.b
-        if g.op is Op.NOP:
-            return
-
-        def swap() -> None:
-            sym[a], sym[b] = sym[b], sym[a]
-            oa = tok.pop(a, None)
-            ob = tok.pop(b, None)
-            if oa is not None:
-                tok[b] = oa
-            if ob is not None:
-                tok[a] = ob
-
-        if g.op is Op.SWAP:
-            swap()
-            return
-        sa, sb = sym[a], sym[b]
-        if sa is sb:
-            if a in tok or b in tok:
-                raise PropagationError(
-                    "two equal-symbol tokens met at the final level after "
-                    "demotion; this indicates a bug in the recombination"
-                )
-            return
-        if (sa < sb) != (g.op is Op.PLUS):
-            swap()
-
     with tracer.span(obs_events.SPAN_LEMMA41, n=n, levels=rdn.levels, k=k):
-        sets = recurse(rdn)
-        if traced:
-            tracer.event(
-                obs_events.EV_SUMMARY,
-                levels=rdn.levels,
-                k=k,
-                a_size=len(a_set),
-                b_size=sum(len(s) for s in sets.values()),
-                sets=sum(1 for s in sets.values() if s),
-                collisions=trace.total_collisions,
-                demoted=trace.total_demoted,
-                demote_steps=sum(1 for r in trace.nodes if r.demoted),
-                shift_steps=sum(1 for r in trace.nodes if r.chosen_shift),
-            )
-    result_sets = {i: frozenset(s) for i, s in sets.items() if s}
-    b_size = sum(len(s) for s in result_sets.values())
-    levels = rdn.levels
-    t = t_sets(levels, k)
-    assert all(0 <= i < t for i in result_sets), "set index outside t(l)"
-    result = Lemma41Result(
-        pattern=Pattern(assign),
-        sets=result_sets,
-        t=t,
-        k=k,
-        levels=levels,
-        state=SymbolicState(symbols=sym, origin=tok),
-        a_size=len(a_set),
-        b_size=b_size,
-        trace=trace,
-    )
+        sweep = _HeightSweep(rdn, pattern, k, strategy, rng, tracer.enabled)
+        sweep.run()
+        result = sweep.result()
+        if tracer.enabled:
+            sweep.emit_events(tracer)
     if check_guarantee and strategy is _shift_argmin:
-        if b_size < result.guarantee - 1e-9:
+        if result.b_size < result.guarantee - 1e-9:
             raise GuaranteeError(
-                f"Lemma 4.1 guarantee violated: |B|={b_size} < "
+                f"Lemma 4.1 guarantee violated: |B|={result.b_size} < "
                 f"{result.guarantee} = |A|(1 - l/k^2)"
             )
     return result
+
+
+#: Symbol code of ``L0``; see the module notes for the code of each symbol.
+_LARGE = 1 << 62
+_PLUS = OP_CODE[Op.PLUS]
+_MINUS = OP_CODE[Op.MINUS]
+_SWAP = OP_CODE[Op.SWAP]
+
+
+def _band(codes: np.ndarray) -> np.ndarray:
+    """Mask of the ``M``/``X`` codes."""
+    return (codes > 0) & (codes < _LARGE)
+
+
+def _medium(codes: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the ``M`` codes."""
+    return _band(codes) & (codes % n == 0)
+
+
+def _symbol(code: int, n: int) -> Symbol:
+    """The symbol a code stands for (the inverse of the code map)."""
+    if code == 0:
+        return S(0)
+    if code == _LARGE:
+        return L(0)
+    i, j = divmod(code - 1, n)
+    return M(i) if j == n - 1 else X(i, j)
+
+
+def _decode(codes: np.ndarray, n: int) -> list[Symbol]:
+    """The symbols of a code array (one lookup per distinct code)."""
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    table = [_symbol(code, n) for code in distinct.tolist()]
+    return list(map(table.__getitem__, inverse.tolist()))
+
+
+def _post_order(levels: int, h: int, count: int) -> np.ndarray:
+    """Post-order numbers, among internal nodes, of the height-``h`` nodes.
+
+    Node ``q`` of height ``h`` comes after the internal nodes of the
+    subtrees wholly left of it -- ``sum_g floor(q 2^h / 2^g)`` of them --
+    and after its own ``2^h - 2`` internal descendants.
+    """
+    first_leaf = np.arange(count, dtype=np.int64) << h
+    heights = np.arange(1, levels + 1, dtype=np.int64)
+    left = (first_leaf[:, None] >> heights).sum(axis=1)
+    return left + (1 << h) - 2
+
+
+class _HeightSweep:
+    """The state of one Lemma 4.1 run, advanced one tree height at a time.
+
+    ``assign`` holds the refined input pattern per wire, ``sym`` the
+    symbol at each position and ``tok`` the input wire whose token sits
+    at each position (``-1`` for none), all as int64 arrays; the node
+    tables hold one entry per internal node, indexed by post-order number.
+    """
+
+    def __init__(self, rdn, pattern, k, strategy, rng, traced=False):
+        n = pattern.n
+        self.n, self.k, self.k2 = n, k, k * k
+        self.levels = rdn.levels
+        # band indices stay below levels * k^2, so every code fits under L0
+        if (self.levels * self.k2 + 1) * n >= _LARGE:
+            raise PatternError(
+                f"k={k} is too large for the int64 symbol codes of an "
+                f"{self.levels}-level block on {n} wires"
+            )
+        self.form = rdn.arrays
+        self.strategy, self.rng = strategy, rng
+        codes = {S(0): 0, M(0): n, L(0): _LARGE}
+        self.assign = np.fromiter(
+            map(codes.__getitem__, pattern.symbols), dtype=np.int64, count=n
+        )
+        self.a_size = int(np.count_nonzero(self.assign == n))
+        self.sym = self.assign.copy()
+        self.tok = np.where(
+            self.sym == n, np.arange(n, dtype=np.int64), np.int64(-1)
+        )
+        nodes = max(n - 1, 0)
+        self.height = np.zeros(nodes, dtype=np.int64)
+        self.collisions = np.zeros(nodes, dtype=np.int64)
+        self.shift = np.zeros(nodes, dtype=np.int64)
+        self.demoted = np.zeros(nodes, dtype=np.int64)
+        self.after = np.zeros(nodes, dtype=np.int64)
+        #: traced runs only: how many collision sets C_ij each node has
+        #: of each size, keyed by (node post-order number, size)
+        self.traced = traced
+        self.set_sizes: Counter[tuple[int, int]] = Counter()
+        # one draw per node in post-order -- the recursion's draw order;
+        # a sized draw yields the same stream as one scalar draw per node
+        self.draws = (
+            rng.integers(0, self.k2, size=nodes)
+            if strategy is _shift_random
+            else None
+        )
+
+    def run(self) -> None:
+        """Process heights ``1 .. levels``."""
+        for h, level in zip(itertools.count(1), self.form.levels):
+            self.step(h, *level.arrays)
+
+    def step(self, h: int, a: np.ndarray, b: np.ndarray, ops: np.ndarray) -> None:
+        """Every height-``h`` node's step, one array operation each."""
+        n, rank, sym, tok = self.n, self.form.rank, self.sym, self.tok
+        count = n >> h
+        post = _post_order(self.levels, h, count)
+
+        # collision scan: comparators whose both ends hold tokens
+        compares = ops <= _MINUS
+        hit = np.flatnonzero(compares & (tok[a] >= 0) & (tok[b] >= 0))
+        pos = a[hit]
+        sa, sb = sym[pos], sym[b[hit]]
+        assert _medium(sa, n).all() and _medium(sb, n).all(), (
+            "tracked token lost its symbol"
+        )
+        i, j = sa // n - 1, sb // n - 1
+        owner = rank[pos] >> h
+        if self.traced:
+            self.tally(post[owner], i, j)
+        collisions = np.bincount(owner, minlength=count)
+
+        # i0 per node from its k^2-entry loss table
+        i0 = self.choose(post, owner, i - j, count)
+
+        # demotion of the matched child-0 tokens to X(i, j0)
+        matched = (i - j) == i0[owner]
+        pos, owner = pos[matched], owner[matched]
+        demoted_code = i[matched] * n + 1 + post[owner]
+        self.assign[tok[pos]] = demoted_code
+        sym[pos] = demoted_code
+        tok[pos] = -1
+
+        # child-1 band symbols move up by i0
+        if i0.any():
+            side1 = ((rank >> (h - 1)) & 1).astype(bool)
+            delta = np.where(side1, i0[rank >> h] * n, 0)
+            self.assign += np.where(_band(self.assign), delta, 0)
+            sym += np.where(_band(sym), delta, 0)
+
+        # the final level on the symbolic state
+        sa, sb = sym[a], sym[b]
+        tie = compares & (sa == sb)
+        if (tie & ((tok[a] >= 0) | (tok[b] >= 0))).any():
+            raise PropagationError(
+                "two equal-symbol tokens met at the final level after "
+                "demotion; this indicates a bug in the recombination"
+            )
+        flip = (ops == _SWAP) | (compares & ~tie & ((sa < sb) != (ops == _PLUS)))
+        fa, fb = a[flip], b[flip]
+        sym[fa], sym[fb] = sym[fb], sym[fa]
+        tok[fa], tok[fb] = tok[fb], tok[fa]
+
+        mediums = rank[np.flatnonzero(_medium(self.assign, n))] >> h
+        self.height[post] = h
+        self.collisions[post] = collisions
+        self.shift[post] = i0
+        self.demoted[post] = np.bincount(owner, minlength=count)
+        self.after[post] = np.bincount(mediums, minlength=count)
+
+    def tally(self, node: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+        """Count one height's collision sets into :attr:`set_sizes`;
+        collision ``c`` joins set ``C_ij`` of node ``node[c]``."""
+        sets = Counter(zip(node.tolist(), i.tolist(), j.tolist()))
+        self.set_sizes.update((q, size) for (q, _, _), size in sets.items())
+
+    def choose(
+        self, post: np.ndarray, owner: np.ndarray, s: np.ndarray, count: int
+    ) -> np.ndarray:
+        """The shift ``i0`` of each of the ``count`` nodes of one height."""
+        k2 = self.k2
+        if self.draws is not None:
+            return self.draws[post]
+        valid = (s >= 0) & (s < k2)
+        rows, row_of = np.unique(owner[valid], return_inverse=True)
+        table = np.bincount(
+            row_of * k2 + s[valid], minlength=len(rows) * k2
+        ).reshape(len(rows), k2)
+        i0 = np.zeros(count, dtype=np.int64)
+        if self.strategy is _shift_argmin:
+            i0[rows] = table.argmin(axis=1)
+        elif self.strategy is _shift_worst:
+            i0[rows] = table.argmax(axis=1)
+        else:
+            tables = dict(zip(rows.tolist(), table.tolist()))
+            picks = [
+                self.strategy(tables.get(q) or [0] * k2, self.k, self.rng)
+                for q in range(count)
+            ]
+            bad = [p for p in picks if not 0 <= p < k2]
+            if bad:
+                raise PatternError(
+                    f"shift strategy returned {bad[0]} outside [0, {k2})"
+                )
+            i0[:] = picks
+        return i0
+
+    def result(self) -> Lemma41Result:
+        """The run's outcome in the Lemma 4.1 vocabulary."""
+        n, k, levels = self.n, self.k, self.levels
+        wires = np.flatnonzero(_medium(self.assign, n))
+        index = self.assign[wires] // n - 1
+        order = np.argsort(index, kind="stable")
+        keys, starts = np.unique(index[order], return_index=True)
+        groups = np.split(wires[order], starts[1:])
+        sets = {
+            key: frozenset(group.tolist())
+            for key, group in zip(keys.tolist(), groups)
+        }
+        t = t_sets(levels, k)
+        assert all(0 <= i < t for i in sets), "set index outside t(l)"
+        held = np.flatnonzero(self.tok >= 0)
+        trace = Lemma41Trace(
+            nodes=list(
+                map(
+                    NodeRecord,
+                    self.height.tolist(),
+                    self.collisions.tolist(),
+                    self.shift.tolist(),
+                    self.demoted.tolist(),
+                    self.after.tolist(),
+                )
+            )
+        )
+        return Lemma41Result(
+            pattern=Pattern(_decode(self.assign, n)),
+            sets=sets,
+            t=t,
+            k=k,
+            levels=levels,
+            state=SymbolicState(
+                symbols=_decode(self.sym, n),
+                origin=dict(zip(held.tolist(), self.tok[held].tolist())),
+            ),
+            a_size=self.a_size,
+            b_size=len(wires),
+            trace=trace,
+        )
+
+    def emit_events(self, tracer) -> None:
+        """One ``EV_NODE`` event per node in post-order, then the summary."""
+        n = self.n
+        by_node = {
+            q: {str(size): number for (_, size), number in group}
+            for q, group in itertools.groupby(
+                sorted(self.set_sizes.items()), key=lambda row: row[0][0]
+            )
+        }
+        histograms = [by_node.get(q, {}) for q in range(len(self.height))]
+        for height, collisions, shift, demoted, after, histogram in zip(
+            self.height.tolist(),
+            self.collisions.tolist(),
+            self.shift.tolist(),
+            self.demoted.tolist(),
+            self.after.tolist(),
+            histograms,
+        ):
+            tracer.event(
+                obs_events.EV_NODE,
+                height=height,
+                collisions=collisions,
+                collision_sets=sum(histogram.values()),
+                histogram=histogram,
+                shift=shift,
+                matched=demoted,
+                demoted=demoted,
+                elements_after=after,
+            )
+        mediums = _medium(self.assign, n)
+        tracer.event(
+            obs_events.EV_SUMMARY,
+            levels=self.levels,
+            k=self.k,
+            a_size=self.a_size,
+            b_size=int(np.count_nonzero(mediums)),
+            sets=len(np.unique(self.assign[mediums])),
+            collisions=int(self.collisions.sum()),
+            demoted=int(self.demoted.sum()),
+            demote_steps=int(np.count_nonzero(self.demoted)),
+            shift_steps=int(np.count_nonzero(self.shift)),
+        )

@@ -7,13 +7,18 @@ two concrete inputs differing by a swap of the adjacent values ``m`` and
 direct circuit evaluation, independently of the pattern machinery that
 produced it:
 
-1. both inputs are permutations differing exactly by the ``m``/``m+1``
-   swap;
-2. the traced evaluation of the first input never compares ``m`` with
-   ``m+1``;
+1. the wires are in range, and both inputs are permutations differing
+   exactly by the ``m``/``m+1`` swap;
+2. evaluating the first input never puts ``m`` and ``m+1`` on the two
+   ends of one comparator;
 3. the network routes both inputs identically (the outputs differ exactly
    by the positions of ``m`` and ``m+1``);
 4. consequently at least one of the two outputs is unsorted.
+
+The check is O(depth) array steps: both inputs run through the network
+as one two-row batch, and per stage only the positions of ``m`` and
+``m+1`` are followed and looked up in the level's partner array.  No
+record of the other comparisons is built.
 """
 
 from __future__ import annotations
@@ -74,6 +79,10 @@ class NonSortingCertificate:
         a, b = self.input_a, self.input_b
         m, m1 = self.values
         w0, w1 = self.wires
+        if not (0 <= w0 < n and 0 <= w1 < n):
+            raise CertificateError(
+                f"wires {self.wires} out of range [0, {n})"
+            )
         if m1 != m + 1:
             raise CertificateError(f"values {self.values} are not adjacent")
         if sorted(a.tolist()) != list(range(n)) or sorted(b.tolist()) != list(
@@ -88,16 +97,8 @@ class NonSortingCertificate:
         ) != int(a[w0]):
             raise CertificateError("inputs do not differ by the claimed swap")
 
-        trace = network.trace(a)
-        if trace.were_compared(m, m1):
-            raise CertificateError(
-                f"the values {m} and {m + 1} were compared; the special set "
-                "was not noncolliding"
-            )
-        out_a = trace.output
-        out_b = network.evaluate(b)
-        pos_m = int(np.nonzero(out_a == m)[0][0])
-        pos_m1 = int(np.nonzero(out_a == m1)[0][0])
+        start = (w0, w1) if int(a[w0]) == m else (w1, w0)
+        out_a, out_b, pos_m, pos_m1 = self._run(network, *start)
         expected_b = out_a.copy()
         expected_b[pos_m], expected_b[pos_m1] = m1, m
         if not np.array_equal(out_b, expected_b):
@@ -111,6 +112,37 @@ class NonSortingCertificate:
             raise CertificateError(
                 "both outputs sorted -- impossible for a genuine certificate"
             )
+
+    def _run(
+        self, network: ComparatorNetwork, pos_m: int, pos_m1: int
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """Both outputs, and where ``m`` and ``m+1`` (starting on wires
+        ``pos_m``/``pos_m1`` of the first input) end up in the first.
+
+        Raises :class:`CertificateError` as soon as ``m`` and ``m+1``
+        sit on the two ends of one comparator.
+        """
+        m, m1 = self.values
+        x = np.stack((self.input_a, self.input_b))
+        for stage in network.stages:
+            if stage.perm is not None:
+                x = stage.perm.apply(x)
+                pos_m = int(stage.perm.mapping[pos_m])
+                pos_m1 = int(stage.perm.mapping[pos_m1])
+            level = stage.level
+            partner, compares = level.partners
+            if pos_m < len(partner) and partner[pos_m] == pos_m1 and compares[pos_m]:
+                raise CertificateError(
+                    f"the values {m} and {m + 1} were compared; the special "
+                    "set was not noncolliding"
+                )
+            level.apply_inplace(x)
+            # a value leaves its position only across the gate touching it
+            if x[0, pos_m] != m:
+                pos_m = int(partner[pos_m])
+            if x[0, pos_m1] != m1:
+                pos_m1 = int(partner[pos_m1])
+        return x[0], x[1], pos_m, pos_m1
 
     def to_json(self) -> dict[str, Any]:
         """Serialise as a JSON-compatible dict (kind-tagged).

@@ -87,7 +87,7 @@ def iterated_family(
     inter-block permutations.
     """
     if name == "bitonic":
-        return bitonic_iterated_rdn(n).truncated(blocks)
+        return bitonic_iterated_rdn(n, blocks)
     if name == "random_iterated":
         return random_iterated_rdn(n, blocks, rng)
     build = block_family(name)
@@ -114,4 +114,4 @@ def seeded_family(
 
 def truncated_bitonic(n: int, phases: int) -> IteratedReverseDeltaNetwork:
     """The first ``phases`` phases of the bitonic sorter."""
-    return bitonic_iterated_rdn(n).truncated(phases)
+    return bitonic_iterated_rdn(n, phases)

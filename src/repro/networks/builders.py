@@ -280,14 +280,24 @@ def bitonic_phase_rdn(n: int, phase: int) -> ReverseDeltaNetwork:
     return rdn_from_bit_order(n, bit_order, choose)
 
 
-def bitonic_iterated_rdn(n: int) -> IteratedReverseDeltaNetwork:
+def bitonic_iterated_rdn(
+    n: int, phases: int | None = None
+) -> IteratedReverseDeltaNetwork:
     """Batcher's bitonic sorting network as a (lg n, lg n)-iterated RDN.
 
     Sorts ascending.  Depth ``lg n`` blocks of ``lg n`` levels each (many
     empty), i.e. :math:`\\lg^2 n` stages of which
     :math:`\\lg n (\\lg n + 1)/2` contain comparators -- the
     :math:`\\Theta(\\lg^2 n)` upper bound the paper cites.
+
+    ``phases`` builds only the first phases, the same network as
+    ``bitonic_iterated_rdn(n).truncated(phases)`` (the count is read as
+    a slice bound, like :meth:`~IteratedReverseDeltaNetwork.truncated`)
+    without building the rest.
     """
     d = ilog2(require_power_of_two(n, "bitonic size"))
-    blocks = [(None, bitonic_phase_rdn(n, p)) for p in range(1, d + 1)]
+    built = range(1, d + 1)
+    if phases is not None:
+        built = built[:phases]
+    blocks = [(None, bitonic_phase_rdn(n, p)) for p in built]
     return IteratedReverseDeltaNetwork(n, blocks)

@@ -30,12 +30,27 @@ Evaluation is in place on global positions, so flattening the tree gives a
 (1-based) collects the final levels of all tree nodes of height ``m`` --
 small blocks first, the root's level last, exactly the recursive order of
 Definition 3.4.
+
+The block array form
+--------------------
+One tree walk turns a tree into :class:`BlockArrays`, cached on the
+tree: the rank of every wire in the depth-first leaf order, and one
+:class:`~repro.networks.level.Level` per height, whose ``arrays`` hold
+its gates' endpoints and op codes.  Because the tree is complete and
+children come before parents, the height-``h`` ancestor of wire ``w``
+is node number ``rank[w] >> h`` of that height, and bit ``h - 1`` of
+``rank[w]`` says whether ``w`` lies on its child-1 side.  Same-height
+nodes own disjoint wires, so a whole height can be processed in one
+array step; the Lemma 4.1 kernel and flattening both read this form.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .._util import require_power_of_two
 from ..errors import TopologyError, WireError
@@ -44,7 +59,26 @@ from .level import Level
 from .network import ComparatorNetwork, Stage
 from .permutations import Permutation
 
-__all__ = ["ReverseDeltaNetwork", "IteratedReverseDeltaNetwork"]
+__all__ = ["BlockArrays", "ReverseDeltaNetwork", "IteratedReverseDeltaNetwork"]
+
+
+@dataclass(frozen=True)
+class BlockArrays:
+    """The array form of a reverse delta network (see the module notes).
+
+    Attributes
+    ----------
+    rank:
+        ``rank[w]`` is wire ``w``'s position in the depth-first leaf order
+        (child 0 before child 1), ``-1`` for wires the tree does not own.
+    levels:
+        ``levels[h - 1]`` holds the final-level gates of every height-``h``
+        node, nodes in leaf order and each node's gates in its own order
+        -- the flattened network's level ``h``.
+    """
+
+    rank: np.ndarray
+    levels: tuple[Level, ...]
 
 
 class ReverseDeltaNetwork:
@@ -182,24 +216,36 @@ class ReverseDeltaNetwork:
         return total
 
     # -- flattening ----------------------------------------------------------
-    def levels_flat(self) -> list[Level]:
-        """Global gate levels in execution order (heights ``1 .. levels``).
-
-        Level ``m`` collects the final levels of every node of height
-        ``m``; all such nodes own disjoint wires, so the union is a valid
-        parallel level.
-        """
+    @cached_property
+    def arrays(self) -> BlockArrays:
+        """The block array form, built in one tree walk and cached."""
+        leaves: list[int] = []
         buckets: list[list[Gate]] = [[] for _ in range(self._levels)]
 
         def visit(node: "ReverseDeltaNetwork") -> None:
             if node.is_leaf:
+                leaves.append(node.wires[0])
                 return
             visit(node.child0)
             visit(node.child1)
             buckets[node.levels - 1].extend(node.final)
 
         visit(self)
-        return [Level(gates) for gates in buckets]
+        rank = np.full(max(self._wires) + 1, -1, dtype=np.int64)
+        rank[leaves] = np.arange(len(leaves), dtype=np.int64)
+        rank.setflags(write=False)
+        levels = tuple(Level(gates) for gates in buckets)
+        return BlockArrays(rank=rank, levels=levels)
+
+    def levels_flat(self) -> list[Level]:
+        """Global gate levels in execution order (heights ``1 .. levels``).
+
+        Level ``m`` collects the final levels of every node of height
+        ``m``; all such nodes own disjoint wires, so the union is a valid
+        parallel level.  The levels are the cached levels of
+        :attr:`arrays`.
+        """
+        return list(self.arrays.levels)
 
     def to_network(self, n: int | None = None) -> ComparatorNetwork:
         """Flatten to a :class:`ComparatorNetwork` on ``n`` global wires.

@@ -25,7 +25,16 @@ from dataclasses import dataclass
 from .._util import require_wire
 from ..errors import WireError
 
-__all__ = ["Op", "Gate", "comparator", "reverse_comparator", "exchange", "passthrough"]
+__all__ = [
+    "Op",
+    "OPS",
+    "OP_CODE",
+    "Gate",
+    "comparator",
+    "reverse_comparator",
+    "exchange",
+    "passthrough",
+]
 
 
 class Op(enum.Enum):
@@ -55,6 +64,15 @@ class Op(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
+
+
+#: The ops by integer code, the op column of the array form of a level:
+#: ``OPS[code]`` is the op, and the two comparators come first, so
+#: ``code <= OP_CODE[Op.MINUS]`` tests "is a comparator".
+OPS: tuple[Op, ...] = (Op.PLUS, Op.MINUS, Op.NOP, Op.SWAP)
+
+#: Inverse of :data:`OPS`: the integer code of each op.
+OP_CODE: dict[Op, int] = {op: code for code, op in enumerate(OPS)}
 
 
 @dataclass(frozen=True)

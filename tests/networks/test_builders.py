@@ -138,6 +138,33 @@ class TestBitonic:
         assert it.depth == d * d
         assert it.size == n * d * (d + 1) // 4
 
+    @pytest.mark.parametrize("n", [2, 16, 256])
+    @pytest.mark.parametrize("phases", [0, 1, 2, 3, 8, 9, -1])
+    def test_phase_prefix_equals_truncated_full_build(self, n, phases):
+        """Building only the first phases gives the truncated full sorter,
+        block for block and byte for byte."""
+        from repro.experiments.workloads import iterated_family, truncated_bitonic
+        from repro.networks import serialize
+
+        want = bitonic_iterated_rdn(n).truncated(phases)
+        for got in (
+            bitonic_iterated_rdn(n, phases),
+            truncated_bitonic(n, phases),
+            iterated_family("bitonic", n, phases, np.random.default_rng(0)),
+        ):
+            assert got.k == want.k
+            for (perm, block), (want_perm, want_block) in zip(
+                got.blocks, want.blocks
+            ):
+                assert perm is None and want_perm is None
+                assert serialize.rdn_to_json(block) == serialize.rdn_to_json(
+                    want_block
+                )
+            assert serialize.dumps(got) == serialize.dumps(want)
+            assert serialize.dumps(got.to_network()) == serialize.dumps(
+                want.to_network()
+            )
+
     def test_single_phase_merges_bitonic_runs(self, rng):
         """After p phases the output is runs of 2^p, alternately asc/desc."""
         n = 16

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import LevelConflictError, WireError
-from repro.networks.gates import Gate, Op, comparator, exchange, passthrough
+from repro.networks.gates import OPS, Gate, Op, comparator, exchange, passthrough
 from repro.networks.level import Level
 
 
@@ -100,3 +100,70 @@ class TestNormalized:
         lvl.apply_inplace(x)
         norm.apply_inplace(y)
         assert (x == y).all()
+
+
+class TestArrayForm:
+    """The array form the checks and evaluation run on."""
+
+    GATES = [Gate(0, 5, Op.PLUS), Gate(4, 1, Op.MINUS), Gate(2, 3, Op.SWAP),
+             Gate(6, 7, Op.NOP)]
+
+    def test_arrays_follow_gate_order(self):
+        a, b, ops = Level(self.GATES).arrays
+        assert a.tolist() == [0, 4, 2, 6] and b.tolist() == [5, 1, 3, 7]
+        assert [OPS[c] for c in ops.tolist()] == [g.op for g in self.GATES]
+        assert a.dtype == b.dtype == np.int64
+
+    def test_arrays_are_read_only(self):
+        a, b, ops = Level(self.GATES).arrays
+        with pytest.raises(ValueError):
+            a[0] = 3
+
+    def test_derived_data(self):
+        lvl = Level(self.GATES)
+        assert len(lvl) == 4 and lvl.comparator_count == 2
+        assert lvl.touched_wires == set(range(8)) and lvl.max_wire == 7
+
+    def test_partners(self):
+        partner, compares = Level(self.GATES).partners
+        assert partner.tolist() == [5, 4, 3, 2, 1, 0, 7, 6]
+        assert compares.tolist() == [True, True, False, False,
+                                     True, True, False, False]
+        empty_partner, _ = Level().partners
+        assert empty_partner.size == 0
+
+    @pytest.mark.parametrize(
+        "gates, wire",
+        [
+            ([comparator(0, 1), comparator(1, 2)], 1),
+            ([comparator(0, 3), exchange(2, 3)], 3),
+            ([comparator(4, 5), comparator(0, 3), exchange(5, 2), exchange(3, 4)], 5),
+        ],
+    )
+    def test_conflict_names_the_first_repeated_wire(self, gates, wire):
+        with pytest.raises(LevelConflictError,
+                           match=f"^wire {wire} is touched by two gates"):
+            Level(gates)
+
+    @pytest.mark.parametrize("bad", [1.0, 2.5, True])
+    def test_non_integer_endpoint(self, bad):
+        with pytest.raises(WireError, match="wire index must be an integer"):
+            Level([comparator(2, 3), Gate(0, bad)])
+
+    def test_numpy_integer_endpoints(self):
+        lvl = Level([Gate(np.int64(0), np.int32(1))])
+        assert lvl == Level([comparator(0, 1)])
+
+    def test_endpoint_beyond_int64(self):
+        with pytest.raises(WireError, match="int64"):
+            Level([Gate(0, 2**63)])
+
+    @pytest.mark.parametrize("gates, wire", [
+        ([comparator(0, 1), comparator(9, 2)], 9),
+        ([comparator(0, 1), comparator(2, 7)], 7),
+    ])
+    def test_range_check_names_the_first_bad_wire(self, gates, wire):
+        from repro.networks.network import ComparatorNetwork
+
+        with pytest.raises(WireError, match=rf"^wire index {wire} out of range \[0, 4\)$"):
+            ComparatorNetwork(4, [Level(gates)])
