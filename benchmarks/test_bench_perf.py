@@ -42,7 +42,7 @@ def test_bench_perf_full_tree(benchmark, results_dir, capsys):
     # time inside the workload as well: under --benchmark-disable (the
     # PR smoke mode) benchmark.stats is None, but the 10s gate must hold.
     durations = []
-    baseline = Baseline.load(ROOT / "perf-baseline.json")
+    baseline = Baseline.load(ROOT / "analyzer-baseline.json")
 
     def run():
         t0 = time.perf_counter()

@@ -576,240 +576,135 @@ def _print_report(args, report) -> None:
 
 
 def _selected(args) -> tuple[str, ...] | None:
-    """The --select prefixes as the analyzer configs expect them."""
+    """The --select prefixes as the analyzer engine expects them."""
     return tuple(args.select) if args.select else None
 
 
-def _analyzer_baseline(args, default_name: str):
-    """Load the ratchet baseline a tree analyzer should apply.
+#: The one ratchet file every analyzer subcommand reads by default.
+ANALYZER_BASELINE = "analyzer-baseline.json"
 
-    ``--baseline PATH`` wins; otherwise ``default_name`` is used when
-    it exists.  No baseline applies while writing one (the findings
-    being written must not be filtered by their own previous ratchet).
+
+def _analyzer_baseline(args):
+    """Load the ratchet baseline an analyzer run should apply.
+
+    ``--baseline PATH`` wins; otherwise ``analyzer-baseline.json`` is
+    used when it exists.  No baseline applies while writing one (the
+    findings being written must not be filtered by their own previous
+    ratchet).
     """
-    from .sanitize import Baseline
+    from .diagnostics import Baseline
 
     path = args.baseline
-    if path is None and Path(default_name).is_file():
-        path = default_name
+    if path is None and Path(ANALYZER_BASELINE).is_file():
+        path = ANALYZER_BASELINE
     if path is not None and not args.write_baseline:
         return Baseline.load(path)
     return None
 
 
-def _finish_analyzer(args, report, default_name: str) -> int:
-    """Shared tail of every tree analyzer subcommand.
+def _write_baseline(args, report, ran: set[str]) -> int:
+    """``--write-baseline``: re-snapshot the findings of the rules that ran.
 
-    ``--write-baseline`` snapshots the current findings (fingerprinted
-    with their source line text so the ratchet survives unrelated
-    edits) and exits 0; otherwise the report is emitted and its
-    severity-mapped exit code returned.
+    Findings are fingerprinted with their source line text so the
+    ratchet survives unrelated edits.  Entries of every rule that did
+    not run (another family, or one ``--select`` left out) are kept
+    verbatim, so a partial run never drops grandfathered findings.
     """
-    from .sanitize import Baseline
+    from .diagnostics import Baseline
 
-    if args.write_baseline:
-        target = args.baseline or default_name
-        cache: dict[str, list[str]] = {}
-        pairs = []
-        for diag in report.diagnostics:
-            path = getattr(diag.location, "path", None)
-            line = getattr(diag.location, "line", None)
-            text = ""
-            if path and line:
-                if path not in cache:
-                    cache[path] = Path(path).read_text().splitlines()
-                lines = cache[path]
-                if 1 <= line <= len(lines):
-                    text = lines[line - 1].strip()
-            pairs.append((diag, text))
-        doc = Baseline.document(pairs)
-        Baseline().write(target, doc)
-        n_findings = len(doc["findings"])
-        print(
-            f"baseline with {n_findings} "
-            f"finding{'s' if n_findings != 1 else ''} written to {target}"
-        )
-        return 0
-    _print_report(args, report)
-    return report.exit_code
+    target = args.baseline or ANALYZER_BASELINE
+    cache: dict[str, list[str]] = {}
+    pairs = []
+    for diag in report.diagnostics:
+        path = getattr(diag.location, "path", None)
+        line = getattr(diag.location, "line", None)
+        text = ""
+        if path and line:
+            if path not in cache:
+                cache[path] = Path(path).read_text().splitlines()
+            lines = cache[path]
+            if 1 <= line <= len(lines):
+                text = lines[line - 1].strip()
+        pairs.append((diag, text))
+    old = Baseline.load(target) if Path(target).is_file() else Baseline()
+    doc = Baseline.document(pairs, {e for e in old.entries if e[0] not in ran})
+    Baseline().write(target, doc)
+    n_findings = len(doc["findings"])
+    print(
+        f"baseline with {n_findings} "
+        f"finding{'s' if n_findings != 1 else ''} written to {target}"
+    )
+    return 0
 
 
-def cmd_sanitize(args) -> int:
+def _repin_schemas(paths) -> bool:
+    """``sanitize --fix``: re-pin the schema registry; True on refusals."""
     from .sanitize import (
-        SanitizeConfig,
         collect_schemas,
         discover_files,
         load_registry,
-        sanitize_paths,
         updated_registry,
         write_registry,
     )
 
-    config = SanitizeConfig(select=_selected(args))
-    try:
-        if args.fix:
-            registry = load_registry()
-            schemas = collect_schemas(discover_files(args.paths))
-            doc, refusals = updated_registry(schemas, registry)
-            write_registry(doc)
-            print(
-                f"schema registry re-pinned "
-                f"({len(schemas)} module{'s' if len(schemas) != 1 else ''})"
-            )
-            for message in refusals:
-                logger.error("error[sanitize/fix]: %s", message)
-            if refusals:
-                return 1
-        baseline = _analyzer_baseline(args, "sanitize-baseline.json")
-        report = sanitize_paths(args.paths, config, baseline=baseline)
-        for merge in _sanitize_merges(args):
-            merged = merge(args.paths, _selected(args), baseline)
-            report.diagnostics.extend(
-                d for d in merged.diagnostics
-                # the per-file pass already reported unparseable files
-                if d.rule != "parse/syntax-error"
-            )
-            report.diagnostics.sort(key=lambda d: d.sort_key)
-            report.suppressed += merged.suppressed
-    except SanitizeError as exc:
-        logger.error("error[sanitize/usage]: %s", exc)
-        return 2
-    return _finish_analyzer(args, report, "sanitize-baseline.json")
+    schemas = collect_schemas(discover_files(paths))
+    doc, refusals = updated_registry(schemas, load_registry())
+    write_registry(doc)
+    print(
+        f"schema registry re-pinned "
+        f"({len(schemas)} module{'s' if len(schemas) != 1 else ''})"
+    )
+    for message in refusals:
+        logger.error("error[sanitize/fix]: %s", message)
+    return bool(refusals)
 
 
-def _sanitize_merges(args):
-    """The whole-program analyses ``sanitize --flow/--perf`` fold in.
+def _write_graph(args, select) -> None:
+    """``--graph PATH``: a family's call graph or model as JSON."""
+    import importlib
 
-    With an explicit ``--baseline`` the one ratchet file applies to
-    everything; otherwise each merged family falls back to its own
-    default baseline (``flow-baseline.json``/``perf-baseline.json``),
-    exactly as its standalone subcommand would.
+    family = importlib.import_module(f"repro.{args.command}")
+    if args.command == "flow":
+        doc = family.graph_json(family.build_program(args.paths))
+        what = (f"call graph with {len(doc['nodes'])} nodes, "
+                f"{len(doc['edges'])} edges")
+    else:
+        doc = family.model_json(family.build_analysis(args.paths, select)[0])
+        functions = len(doc["functions"])
+        what = (f"concurrency model with {functions} functions, "
+                f"{len(doc['handles'])} module handles"
+                if args.command == "race"
+                else f"dtype/ndim model with {functions} functions")
+    Path(args.graph).write_text(json.dumps(doc, indent=2) + "\n")
+    # stderr: stdout must stay a clean report under --json
+    logger.info("%s written to %s", what, args.graph)
+
+
+def cmd_analyze(args) -> int:
+    """The one handler of ``sanitize``, ``flow``, ``perf``, ``race``, ``shape``.
+
+    ``repro sanitize`` runs the per-file family plus each family its
+    ``--flow``/``--perf``/``--race``/``--shape`` flags add, over one
+    parse (the combined gate); every other subcommand runs its own
+    family through that package's ``analyze_paths``.
     """
-    merges = []
-    if args.flow:
+    import importlib
 
-        def run_flow(paths, select, baseline):
-            from .flow import FlowConfig, analyze_paths
+    from .sanitize.engine import FAMILIES, analyze, rule_ids
 
-            if args.baseline is None:
-                baseline = _analyzer_baseline(args, "flow-baseline.json")
-            return analyze_paths(
-                paths, FlowConfig(select=select), baseline=baseline
-            )
-
-        merges.append(run_flow)
-    if args.perf:
-
-        def run_perf(paths, select, baseline):
-            from .perf import PerfConfig, analyze_paths
-
-            if args.baseline is None:
-                baseline = _analyzer_baseline(args, "perf-baseline.json")
-            return analyze_paths(
-                paths, PerfConfig(select=select), baseline=baseline
-            )
-
-        merges.append(run_perf)
-    if args.race:
-
-        def run_race(paths, select, baseline):
-            from .race import RaceConfig, analyze_paths
-
-            if args.baseline is None:
-                baseline = _analyzer_baseline(args, "race-baseline.json")
-            return analyze_paths(
-                paths, RaceConfig(select=select), baseline=baseline
-            )
-
-        merges.append(run_race)
-    if args.shape:
-
-        def run_shape(paths, select, baseline):
-            from .shape import ShapeConfig, analyze_paths
-
-            if args.baseline is None:
-                baseline = _analyzer_baseline(args, "shape-baseline.json")
-            return analyze_paths(
-                paths, ShapeConfig(select=select), baseline=baseline
-            )
-
-        merges.append(run_shape)
-    return merges
-
-
-def cmd_flow(args) -> int:
-    from .flow import FlowConfig, analyze_paths, build_program, graph_json
-
-    config = FlowConfig(select=_selected(args))
+    family = args.command
+    select = _selected(args)
+    families = [
+        f for f in FAMILIES
+        if f == family or (family == "sanitize" and getattr(args, f))
+    ]
     try:
-        if args.graph:
-            doc = graph_json(build_program(args.paths))
-            Path(args.graph).write_text(json.dumps(doc, indent=2) + "\n")
-            # stderr: stdout must stay a clean report under --json
-            logger.info(
-                "call graph with %d nodes, %d edges written to %s",
-                len(doc["nodes"]), len(doc["edges"]), args.graph,
-            )
-        baseline = _analyzer_baseline(args, "flow-baseline.json")
-        report = analyze_paths(args.paths, config, baseline=baseline)
-    except SanitizeError as exc:
-        logger.error("error[flow/usage]: %s", exc)
-        return 2
-    return _finish_analyzer(args, report, "flow-baseline.json")
+        if getattr(args, "fix", False) and _repin_schemas(args.paths):
+            return 1
+        if getattr(args, "worklist", False):
+            from .perf import worklist_paths
 
-
-def cmd_race(args) -> int:
-    from .race import RaceConfig, analyze_paths, build_analysis, model_json
-
-    config = RaceConfig(select=_selected(args))
-    try:
-        if args.graph:
-            analysis, _, _ = build_analysis(args.paths, config)
-            doc = model_json(analysis)
-            Path(args.graph).write_text(json.dumps(doc, indent=2) + "\n")
-            # stderr: stdout must stay a clean report under --json
-            logger.info(
-                "concurrency model with %d functions, %d module "
-                "handles written to %s",
-                len(doc["functions"]), len(doc["handles"]), args.graph,
-            )
-        baseline = _analyzer_baseline(args, "race-baseline.json")
-        report = analyze_paths(args.paths, config, baseline=baseline)
-    except SanitizeError as exc:
-        logger.error("error[race/usage]: %s", exc)
-        return 2
-    return _finish_analyzer(args, report, "race-baseline.json")
-
-
-def cmd_shape(args) -> int:
-    from .shape import ShapeConfig, analyze_paths, build_analysis, model_json
-
-    config = ShapeConfig(select=_selected(args))
-    try:
-        if args.graph:
-            analysis, _, _ = build_analysis(args.paths, config)
-            doc = model_json(analysis)
-            Path(args.graph).write_text(json.dumps(doc, indent=2) + "\n")
-            # stderr: stdout must stay a clean report under --json
-            logger.info(
-                "dtype/ndim model with %d functions written to %s",
-                len(doc["functions"]), args.graph,
-            )
-        baseline = _analyzer_baseline(args, "shape-baseline.json")
-        report = analyze_paths(args.paths, config, baseline=baseline)
-    except SanitizeError as exc:
-        logger.error("error[shape/usage]: %s", exc)
-        return 2
-    return _finish_analyzer(args, report, "shape-baseline.json")
-
-
-def cmd_perf(args) -> int:
-    from .perf import PerfConfig, analyze_paths, worklist_paths
-
-    config = PerfConfig(select=_selected(args), profile=args.profile_data)
-    try:
-        if args.worklist:
-            worklist = worklist_paths(args.paths, config)
+            worklist = worklist_paths(args.paths, select, args.profile_data)
             print(json.dumps(worklist.to_json(), indent=2))
             n = len(worklist.entries)
             print(
@@ -817,12 +712,31 @@ def cmd_perf(args) -> int:
                 file=sys.stderr,
             )
             return 0
-        baseline = _analyzer_baseline(args, "perf-baseline.json")
-        report = analyze_paths(args.paths, config, baseline=baseline)
+        if getattr(args, "graph", None):
+            _write_graph(args, select)
+        baseline = _analyzer_baseline(args)
+        if len(families) > 1:
+            report = analyze(
+                args.paths, families, select=select, baseline=baseline
+            )
+        elif family == "sanitize":
+            from .sanitize import SanitizeConfig, sanitize_paths
+
+            report = sanitize_paths(
+                args.paths, SanitizeConfig(select=select), baseline
+            )
+        else:
+            extra = {"profile": args.profile_data} if family == "perf" else {}
+            report = importlib.import_module(f"repro.{family}").analyze_paths(
+                args.paths, select, baseline, **extra
+            )
+        if args.write_baseline:
+            return _write_baseline(args, report, rule_ids(families, select))
     except (SanitizeError, ObsError) as exc:
-        logger.error("error[perf/usage]: %s", exc)
+        logger.error("error[%s/usage]: %s", family, exc)
         return 2
-    return _finish_analyzer(args, report, "perf-baseline.json")
+    _print_report(args, report)
+    return report.exit_code
 
 
 def _add_tree_analyzer_args(
@@ -830,13 +744,13 @@ def _add_tree_analyzer_args(
     *,
     paths_help: str,
     select_example: str,
-    default_baseline: str,
 ) -> None:
     """The argparse wiring every source-tree analyzer shares.
 
-    ``sanitize``, ``flow`` and ``perf`` all take positional paths,
-    ``--json``, ``--select`` and the ratcheted-baseline pair; declaring
-    them once keeps the families flag-compatible by construction.
+    All five analyzer subcommands take positional paths, ``--json``,
+    ``--select`` and the ratcheted-baseline pair, and run through
+    :func:`cmd_analyze`; declaring them once keeps the families
+    flag-compatible by construction.
     """
     p.add_argument("paths", nargs="*", default=["src"], help=paths_help)
     p.add_argument("--json", action="store_true",
@@ -846,10 +760,12 @@ def _add_tree_analyzer_args(
                         f"(repeatable), e.g. --select {select_example}")
     p.add_argument("--baseline", metavar="PATH", default=None,
                    help="baseline of grandfathered findings (default: "
-                        f"{default_baseline} when present)")
+                        f"{ANALYZER_BASELINE} when present)")
     p.add_argument("--write-baseline", action="store_true",
-                   help="write the current findings to the baseline file "
-                        "and exit 0 (the ratchet: entries only disappear)")
+                   help="replace the baseline entries of the rules that "
+                        "ran with the current findings and exit 0 (the "
+                        "ratchet: entries only disappear)")
+    p.set_defaults(func=cmd_analyze)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1020,7 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
         p,
         paths_help="files/directories to analyse (default: src)",
         select_example="determinism/",
-        default_baseline="sanitize-baseline.json",
     )
     p.add_argument("--fix", action="store_true",
                    help="re-pin the schema fingerprint registry from the "
@@ -1038,7 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", action="store_true",
                    help="also run the array dtype/shape analysis "
                         "(see `repro shape`) and merge its findings")
-    p.set_defaults(func=cmd_sanitize)
 
     p = sub.add_parser("flow", help="whole-program flow analysis of the "
                                     "repro source tree itself")
@@ -1047,12 +961,10 @@ def build_parser() -> argparse.ArgumentParser:
         paths_help="files/directories to analyse as one program "
                    "(default: src)",
         select_example="flow/dead",
-        default_baseline="flow-baseline.json",
     )
     p.add_argument("--graph", metavar="PATH", default=None,
                    help="also serialise the call graph (nodes, edges, "
                         "per-function facts) to PATH as JSON")
-    p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("perf", help="profile-guided hot-path analysis of "
                                     "the repro source tree itself")
@@ -1061,7 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
         paths_help="files/directories to analyse as one program "
                    "(default: src)",
         select_example="perf/scalar",
-        default_baseline="perf-baseline.json",
     )
     # dest avoids the attack/experiment --profile (CPU profiler) toggle
     # that main() inspects on every command
@@ -1074,7 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the ranked vectorization worklist as JSON "
                         "(ignores pragmas and the baseline: it is the "
                         "inventory of remaining scalar hot paths)")
-    p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser("race", help="whole-program concurrency analysis "
                                     "of the repro source tree itself")
@@ -1083,13 +993,11 @@ def build_parser() -> argparse.ArgumentParser:
         paths_help="files/directories to analyse as one program "
                    "(default: src)",
         select_example="race/blocking",
-        default_baseline="race-baseline.json",
     )
     p.add_argument("--graph", metavar="PATH", default=None,
                    help="also serialise the concurrency model (contexts, "
                         "blocking/fork/dispatch facts, shared-state "
                         "writes, module handles) to PATH as JSON")
-    p.set_defaults(func=cmd_race)
 
     p = sub.add_parser("shape", help="array dtype/shape abstract "
                                      "interpretation of the repro source "
@@ -1099,13 +1007,11 @@ def build_parser() -> argparse.ArgumentParser:
         paths_help="files/directories to analyse as one program "
                    "(default: src)",
         select_example="shape/implicit",
-        default_baseline="shape-baseline.json",
     )
     p.add_argument("--graph", metavar="PATH", default=None,
                    help="also serialise the dtype/ndim model (per-function "
                         "return summaries, constructor sites, inferred "
                         "abstract values) to PATH as JSON")
-    p.set_defaults(func=cmd_shape)
 
     p = sub.add_parser("farm", help="parallel campaign runner with a "
                                     "content-addressed artifact store")

@@ -2,27 +2,27 @@
 
 The analyzer family lives on this module: :mod:`repro.lint` (networks
 are the analysis target) and the source-tree analyzers
-:mod:`repro.sanitize`, :mod:`repro.flow`, :mod:`repro.perf` and
-:mod:`repro.race`.  All express findings as immutable
-:class:`Diagnostic` records -- a stable ``category/name`` rule id, a
-:class:`Severity`, a message, an analyzer-specific location, and an
-optional :class:`FixIt` -- and aggregate them in reports sharing one
-rendering, one JSON schema, and one exit-code convention
+:mod:`repro.sanitize`, :mod:`repro.flow`, :mod:`repro.perf`,
+:mod:`repro.race` and :mod:`repro.shape`.  All express findings as
+immutable :class:`Diagnostic` records -- a stable ``category/name``
+rule id, a :class:`Severity`, a message, an analyzer-specific location,
+and an optional :class:`FixIt` -- and aggregate them in reports sharing
+one rendering, one JSON schema, and one exit-code convention
 (:class:`DiagnosticReport`).  Keeping the plumbing here means the
 analyzers cannot drift: a change to severity ordering, report summaries
 or exit codes lands in all of them at once.
 
 The ratcheted-baseline mechanism (:class:`Baseline`) and the waiver
-pass every tree analyzer runs over its raw findings
-(:func:`apply_waivers`) live here too, so the grandfathering semantics
--- line-number-independent fingerprints, pragma-before-baseline order,
-suppressed counts -- are identical across ``sanitize``, ``flow``,
-``perf`` and ``race``.
+pass the analyzer engine runs once over the raw findings of every
+family (:func:`apply_waivers`) live here too, so the grandfathering
+semantics -- line-number-independent fingerprints,
+pragma-before-baseline order, suppressed counts -- are one code path.
 
 Locations are analyzer-specific (a network finding points at a
-stage/gate/wire triple, a source finding at a file/line/column) and are
-duck-typed: any object with ``format() -> str``, ``to_json() -> dict``
-and a comparable ``sort_key`` tuple works.
+stage/gate/wire triple, a source finding at a file/line/column, see
+:class:`SourceLocation`) and are duck-typed: any object with
+``format() -> str``, ``to_json() -> dict`` and a comparable
+``sort_key`` tuple works.
 """
 
 from __future__ import annotations
@@ -31,13 +31,14 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Protocol, runtime_checkable
+from typing import Any, Iterable, Mapping, Protocol, runtime_checkable
 
 from .errors import SanitizeError
 
 __all__ = [
     "Severity",
     "SupportsLocation",
+    "SourceLocation",
     "FixIt",
     "Diagnostic",
     "DiagnosticReport",
@@ -89,6 +90,48 @@ class SupportsLocation(Protocol):
     def sort_key(self) -> tuple:  # pragma: no cover - protocol
         """Tuple ordering diagnostics within one severity."""
         ...
+
+
+@dataclass(frozen=True)
+class SourceLocation:
+    """Where in the source tree a diagnostic points.
+
+    ``path`` is the file as given to the analyzer (kept relative so
+    reports are machine-portable); ``line`` is 1-based, ``col`` 0-based
+    (both straight off the AST node).  ``line`` may be ``None`` for
+    whole-file findings (e.g. a module missing its version constant).
+    """
+
+    path: str
+    line: int | None = None
+    col: int | None = None
+
+    def format(self) -> str:
+        """Render like ``repro/core/collision.py:188:15``."""
+        parts = [self.path]
+        if self.line is not None:
+            parts.append(str(self.line))
+            if self.col is not None:
+                parts.append(str(self.col))
+        return ":".join(parts)
+
+    def to_json(self) -> dict[str, Any]:
+        """JSON-compatible dict (omits unset fields)."""
+        doc: dict[str, Any] = {"path": self.path}
+        if self.line is not None:
+            doc["line"] = self.line
+        if self.col is not None:
+            doc["col"] = self.col
+        return doc
+
+    @property
+    def sort_key(self) -> tuple[str, int, int]:
+        """Report order within a severity: path, then line, then column."""
+        return (
+            self.path,
+            self.line if self.line is not None else -1,
+            self.col if self.col is not None else -1,
+        )
 
 
 @dataclass(frozen=True)
@@ -281,10 +324,10 @@ class Baseline:
     acknowledged but not yet fixed; matching findings are suppressed
     from the report (and the exit code) so a CI gate can be turned on
     *before* the tree is fully clean, then ratcheted down to empty.
-    The shipped sanitize/flow/race baselines are empty and must stay
-    empty: new findings fail CI immediately; ``perf-baseline.json``
-    grandfathers the vectorization worklist and is burned down PR by
-    PR.
+    Every analyzer family reads the one shipped file,
+    ``analyzer-baseline.json``: it holds only ``perf/*`` entries (the
+    grandfathered vectorization worklist, burned down PR by PR), so a
+    new finding of any other family fails CI immediately.
 
     Entries are fingerprinted as ``(rule id, repro-anchored path,
     stripped source line)`` rather than line numbers, so unrelated
@@ -346,18 +389,19 @@ class Baseline:
     @staticmethod
     def document(
         findings: list[tuple[Diagnostic, str]],
+        kept: Iterable[tuple[str, str, str]] = (),
     ) -> dict[str, Any]:
-        """Build a baseline document from ``(diagnostic, line text)`` pairs."""
-        seen: set[tuple[str, str, str]] = set()
-        entries: list[dict[str, str]] = []
-        for diag, line_text in findings:
-            fp = Baseline.fingerprint(diag, line_text)
-            if fp in seen:
-                continue
-            seen.add(fp)
-            entries.append(
-                {"rule": fp[0], "path": fp[1], "content": fp[2]}
-            )
+        """Build a baseline document from ``(diagnostic, line text)`` pairs.
+
+        ``kept`` carries entries of an older baseline over verbatim:
+        a write replaces only the entries of the rules that ran.
+        """
+        fps = set(kept)
+        fps.update(Baseline.fingerprint(d, text) for d, text in findings)
+        entries = [
+            {"rule": rule, "path": path, "content": content}
+            for rule, path, content in fps
+        ]
         entries.sort(key=lambda e: (e["path"], e["rule"], e["content"]))
         return {"version": BASELINE_VERSION, "findings": entries}
 
@@ -371,17 +415,17 @@ def apply_waivers(
     contexts: Mapping[str, Any],
     baseline: "Baseline | None",
 ) -> tuple[list[Diagnostic], int]:
-    """The waiver pass every tree analyzer runs over its raw findings.
+    """The one waiver pass over the raw findings of every family.
 
     Pragma-suppressed findings are dropped silently (the pragma is the
     documented waiver); baseline-matched findings are dropped but
     counted, so a grandfathered tree never reads as clean.  Returns the
     kept diagnostics sorted by :attr:`Diagnostic.sort_key` plus the
-    suppressed count.  ``contexts`` maps file paths to objects with the
+    suppressed count; the sort is stable, so ties keep the order the
+    families ran in.  ``contexts`` maps file paths to objects with the
     :class:`repro.sanitize.FileContext` waiver surface (``suppressed``
-    and ``line_text``); diagnostics whose path has no context (e.g.
-    syntax errors) skip the pragma check and fingerprint with an empty
-    line.
+    and ``line_text``); diagnostics whose path has no context skip the
+    pragma check and fingerprint with an empty line.
     """
     kept: list[Diagnostic] = []
     suppressed = 0

@@ -19,22 +19,20 @@ Layering (docs/FLOW.md):
   (escaping exceptions, possibly-``None`` rng parameters,
   reachability);
 * :mod:`repro.flow.rules` -- the rule catalog;
-* :mod:`repro.flow.engine` -- discovery, baseline and pragma wiring,
-  report assembly;
-* :mod:`repro.flow.report` -- the versioned report and ``--graph``
-  serialization.
+* :mod:`repro.flow.report` -- :func:`analyze_paths`, the thin entry
+  point over the shared analyzer engine (:mod:`repro.sanitize.engine`:
+  discovery, one parse, pragmas, baseline), the versioned report and
+  the ``--graph`` serialization.
 
 Run it as ``repro flow src/`` or fold it into a sanitize run with
 ``repro sanitize --flow src/``.
 """
 
-from .engine import FlowConfig, analyze_paths, build_program
 from .graph import Edge, FunctionInfo, Program
-from .report import FLOW_FORMAT, FlowReport, graph_json
+from .report import FLOW_FORMAT, FlowReport, analyze_paths, build_program, graph_json
 from .rules import FLOW_RULES, FlowAnalysis
 
 __all__ = [
-    "FlowConfig",
     "analyze_paths",
     "build_program",
     "Program",

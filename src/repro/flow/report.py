@@ -1,4 +1,8 @@
-"""Flow reports: aggregation, text/JSON rendering, graph serialization.
+"""Flow reports: the entry points, text/JSON rendering, the graph.
+
+:func:`analyze_paths` runs the flow family on the analyzer engine
+(:mod:`repro.sanitize.engine`) and assembles its report;
+:func:`build_program` stops after the call graph.
 
 A :class:`FlowReport` is the result of one whole-program analysis run:
 the sorted diagnostics plus the graph's headline sizes, sharing the
@@ -14,13 +18,20 @@ version-bumped change).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from pathlib import Path
+from typing import Any, Iterable
 
-from ..diagnostics import DiagnosticReport
-from ..sanitize.diagnostics import Diagnostic
+from ..diagnostics import Baseline, Diagnostic, DiagnosticReport
+from ..sanitize.engine import Engine
 from .graph import Program
 
-__all__ = ["FLOW_FORMAT", "FlowReport", "graph_json"]
+__all__ = [
+    "FLOW_FORMAT",
+    "FlowReport",
+    "analyze_paths",
+    "build_program",
+    "graph_json",
+]
 
 #: Version of the flow report and graph JSON documents.
 FLOW_FORMAT = 1
@@ -120,3 +131,27 @@ def graph_json(program: Program) -> dict[str, Any]:
         for e in program.edges
     ]
     return {"format": FLOW_FORMAT, "nodes": nodes, "edges": edges}
+
+
+def build_program(paths: Iterable[str | Path]) -> Program:
+    """Discover, parse and index a tree without running any rules."""
+    return Engine(paths).program
+
+
+def analyze_paths(
+    paths: Iterable[str | Path],
+    select: Iterable[str] | None = None,
+    baseline: Baseline | None = None,
+) -> FlowReport:
+    """Analyse a set of files/directories as one whole program."""
+    engine = Engine(paths, select=select)
+    engine.run_family("flow")
+    kept, suppressed = engine.waive(baseline)
+    return FlowReport(
+        targets=engine.targets,
+        files=len(engine.files),
+        functions=len(engine.program.functions),
+        edges=len(engine.program.edges),
+        diagnostics=kept,
+        suppressed=suppressed,
+    )

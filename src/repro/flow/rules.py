@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from ..sanitize.diagnostics import Diagnostic, Severity, SourceLocation
+from ..diagnostics import Diagnostic, Severity, SourceLocation
 from ..sanitize.rules import CLI_MODULES
 from .graph import Program
 from .summaries import (

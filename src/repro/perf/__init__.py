@@ -22,9 +22,9 @@ Layering (docs/PERF.md):
 * :mod:`repro.perf.worklist` -- the versioned ranked vectorization
   worklist (``repro perf --worklist``), which deliberately ignores
   pragma/baseline waivers: it is the inventory of remaining work;
-* :mod:`repro.perf.engine` -- discovery, baseline and pragma wiring,
-  report assembly;
-* :mod:`repro.perf.report` -- the versioned report.
+* :mod:`repro.perf.report` -- :func:`analyze_paths`, the thin entry
+  point over the shared analyzer engine (:mod:`repro.sanitize.engine`:
+  discovery, one parse, pragmas, baseline), and the versioned report.
 
 Run it as ``repro perf src/`` (add ``--profile trace.jsonl`` for
 observed ranking) or fold it into a sanitize run with
@@ -32,17 +32,21 @@ observed ranking) or fold it into a sanitize run with
 """
 
 from .costmodel import CostModel, FunctionCost, build_cost_model
-from .engine import PerfConfig, analyze_paths, build_analysis, worklist_paths
 from .profilejoin import ProfileJoin, join_profile, load_profile, span_owners
-from .report import PERF_FORMAT, PerfReport
+from .report import PERF_FORMAT, PerfReport, analyze_paths, build_analysis
 from .rules import HOT_DEPTH, PERF_RULES, PerfAnalysis
-from .worklist import WORKLIST_FORMAT, Worklist, WorklistEntry, build_worklist
+from .worklist import (
+    WORKLIST_FORMAT,
+    Worklist,
+    WorklistEntry,
+    build_worklist,
+    worklist_paths,
+)
 
 __all__ = [
     "CostModel",
     "FunctionCost",
     "build_cost_model",
-    "PerfConfig",
     "analyze_paths",
     "build_analysis",
     "worklist_paths",

@@ -1,4 +1,9 @@
-"""Perf reports: aggregation and text/JSON rendering.
+"""Perf reports: the entry points and text/JSON rendering.
+
+:func:`analyze_paths` runs the perf family on the analyzer engine
+(:mod:`repro.sanitize.engine`) and assembles its report;
+:func:`build_analysis` returns the raw analysis and findings for the
+worklist and the unit tests.
 
 A :class:`PerfReport` is the result of one hot-path analysis run: the
 sorted diagnostics plus the program's headline sizes and the number of
@@ -14,12 +19,15 @@ deliberate, version-bumped change).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from pathlib import Path
+from typing import Any, Iterable
 
-from ..diagnostics import DiagnosticReport
-from ..sanitize.diagnostics import Diagnostic
+from ..diagnostics import Baseline, Diagnostic, DiagnosticReport
+from ..sanitize.engine import Engine
+from .profilejoin import join_profile
+from .rules import HOT_DEPTH, PerfAnalysis
 
-__all__ = ["PERF_FORMAT", "PerfReport"]
+__all__ = ["PERF_FORMAT", "PerfReport", "analyze_paths", "build_analysis"]
 
 #: Version of the perf report JSON document.
 PERF_FORMAT = 1
@@ -67,3 +75,49 @@ class PerfReport(DiagnosticReport):
             "profile": self.profile,
             **self.json_tail(),
         }
+
+
+def _run(
+    paths: Iterable[str | Path],
+    select: Iterable[str] | None,
+    profile: str | None,
+) -> tuple[Engine, PerfAnalysis]:
+    """The perf family on the engine, ``profile`` joined before the rules.
+
+    ``profile`` optionally names a trace JSONL / profile document whose
+    observed hot-path weights rank the findings.
+    """
+    engine = Engine(paths, select=select)
+    join = join_profile(engine.program, profile) if profile is not None else None
+    return engine, engine.run_family("perf", join=join)
+
+
+def build_analysis(
+    paths: Iterable[str | Path],
+    select: Iterable[str] | None = None,
+    profile: str | None = None,
+) -> tuple[PerfAnalysis, list[Diagnostic], int]:
+    """The perf analysis, its raw findings and the file count."""
+    engine, analysis = _run(paths, select, profile)
+    return analysis, engine.diagnostics, len(engine.files)
+
+
+def analyze_paths(
+    paths: Iterable[str | Path],
+    select: Iterable[str] | None = None,
+    baseline: Baseline | None = None,
+    profile: str | None = None,
+) -> PerfReport:
+    """Analyse a set of files/directories; pragmas and baseline apply."""
+    engine, analysis = _run(paths, select, profile)
+    kept, suppressed = engine.waive(baseline)
+    join = analysis.join
+    return PerfReport(
+        targets=engine.targets,
+        files=len(engine.files),
+        functions=len(analysis.program.functions),
+        hot=len(analysis.cost.hot_functions(HOT_DEPTH)),
+        profile=join.source if join is not None else None,
+        diagnostics=kept,
+        suppressed=suppressed,
+    )

@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from ..flow.graph import FunctionInfo, Program
-from ..sanitize.diagnostics import Diagnostic, Severity, SourceLocation
+from ..diagnostics import Diagnostic, Severity, SourceLocation
 from .costmodel import CostModel, build_cost_model
 from .profilejoin import ProfileJoin
 
@@ -66,6 +67,16 @@ class PerfAnalysis:
         cls, program: Program, join: ProfileJoin | None = None
     ) -> "PerfAnalysis":
         return cls(program=program, cost=build_cost_model(program), join=join)
+
+    @cached_property
+    def hot_loops(self) -> "list[tuple[FunctionInfo, _Loop, list[_Loop], int]]":
+        """Every loop at effective depth >= :data:`HOT_DEPTH`.
+
+        Each entry is ``(function, loop, enclosing stack, effective
+        body depth)``, functions in qualname order and loops outermost
+        first.  Walked once, on first use, and read by every rule.
+        """
+        return list(_hot_items(self))
 
     def weight(self, qualname: str) -> float:
         """Observed hot-path weight in seconds (0.0 without a profile)."""
@@ -230,8 +241,8 @@ def _invariant(node: ast.expr, loop: _Loop) -> bool:
 
 def _hot_items(
     analysis: PerfAnalysis,
-) -> Iterator[tuple[FunctionInfo, "object", _Loop, list[_Loop], int]]:
-    """Every loop of every function with its effective body depth."""
+) -> Iterator[tuple[FunctionInfo, _Loop, list[_Loop], int]]:
+    """Every loop of every function at effective body depth >= HOT_DEPTH."""
     program = analysis.program
     for qualname in sorted(program.functions):
         finfo = program.functions[qualname]
@@ -240,7 +251,8 @@ def _hot_items(
             continue
         for loop, stack in _iter_loops(finfo):
             effective = cost.entry_depth + loop.body_depth
-            yield finfo, cost, loop, stack, effective
+            if effective >= HOT_DEPTH:
+                yield finfo, loop, stack, effective
 
 
 def _diag(
@@ -312,9 +324,7 @@ def _loop_var_subscript(loop: _Loop, stack: list[_Loop]) -> ast.AST | None:
     "per-element Python loop over a positionally-indexed sequence",
 )
 def check_scalar_loop(analysis: PerfAnalysis) -> Iterator[Diagnostic]:
-    for finfo, _cost, loop, stack, effective in _hot_items(analysis):
-        if effective < HOT_DEPTH:
-            continue
+    for finfo, loop, stack, effective in analysis.hot_loops:
         subscript = _loop_var_subscript(loop, stack)
         if subscript is None and not _positional_iteration(loop):
             continue
@@ -364,9 +374,7 @@ def _linear_locals(finfo: FunctionInfo) -> set[str]:
     "O(n) list/tuple membership probe inside a loop",
 )
 def check_membership(analysis: PerfAnalysis) -> Iterator[Diagnostic]:
-    for finfo, _cost, loop, _stack, effective in _hot_items(analysis):
-        if effective < HOT_DEPTH:
-            continue
+    for finfo, loop, _stack, effective in analysis.hot_loops:
         linear = _linear_locals(finfo)
         if not linear:
             continue
@@ -425,9 +433,7 @@ def _empty_list_locals(finfo: FunctionInfo) -> set[str]:
     "element-wise .append into a list accumulator",
 )
 def check_append(analysis: PerfAnalysis) -> Iterator[Diagnostic]:
-    for finfo, _cost, loop, _stack, effective in _hot_items(analysis):
-        if effective < HOT_DEPTH:
-            continue
+    for finfo, loop, _stack, effective in analysis.hot_loops:
         accumulators = _empty_list_locals(finfo)
         if not accumulators:
             continue
@@ -484,9 +490,7 @@ def _pure_callee(ctx, node: ast.Call) -> str | None:
 )
 def check_recompute(analysis: PerfAnalysis) -> Iterator[Diagnostic]:
     program = analysis.program
-    for finfo, _cost, loop, _stack, effective in _hot_items(analysis):
-        if effective < HOT_DEPTH:
-            continue
+    for finfo, loop, _stack, effective in analysis.hot_loops:
         ctx = program.contexts.get(finfo.path)
         for node in _loop_body_walk(loop):
             if not isinstance(node, ast.Call) or not node.args or node.keywords:
@@ -541,9 +545,7 @@ def _is_copy(node: ast.AST) -> str | None:
     "full-container copy allocated inside a loop",
 )
 def check_copy(analysis: PerfAnalysis) -> Iterator[Diagnostic]:
-    for finfo, _cost, loop, _stack, effective in _hot_items(analysis):
-        if effective < HOT_DEPTH:
-            continue
+    for finfo, loop, _stack, effective in analysis.hot_loops:
         for node in _loop_body_walk(loop):
             label = _is_copy(node)
             if label is not None:
@@ -571,9 +573,7 @@ _ATTR_REPEATS = 3
     "repeated loop-invariant attribute chain; hoist to a local",
 )
 def check_attr_lookup(analysis: PerfAnalysis) -> Iterator[Diagnostic]:
-    for finfo, _cost, loop, _stack, effective in _hot_items(analysis):
-        if effective < HOT_DEPTH:
-            continue
+    for finfo, loop, _stack, effective in analysis.hot_loops:
         seen: dict[str, list[ast.Attribute]] = {}
         claimed: set[int] = set()
         for node in _loop_body_walk(loop):

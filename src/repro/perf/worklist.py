@@ -16,12 +16,20 @@ other persisted format in the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from pathlib import Path
+from typing import Any, Iterable
 
-from ..sanitize.diagnostics import Diagnostic
+from ..diagnostics import Diagnostic
+from .report import build_analysis
 from .rules import PerfAnalysis
 
-__all__ = ["WORKLIST_FORMAT", "WorklistEntry", "Worklist", "build_worklist"]
+__all__ = [
+    "WORKLIST_FORMAT",
+    "WorklistEntry",
+    "Worklist",
+    "build_worklist",
+    "worklist_paths",
+]
 
 #: Version of the worklist JSON document.
 WORKLIST_FORMAT = 1
@@ -129,3 +137,14 @@ def build_worklist(
         entries=entries,
         unmatched_spans=sorted(join.unmatched) if join is not None else [],
     )
+
+
+def worklist_paths(
+    paths: Iterable[str | Path],
+    select: Iterable[str] | None = None,
+    profile: str | None = None,
+) -> Worklist:
+    """The ranked vectorization worklist (ignores pragmas and baseline)."""
+    analysis, diagnostics, _files = build_analysis(paths, select, profile)
+    findings = [d for d in diagnostics if d.rule.startswith("perf/")]
+    return build_worklist(analysis, findings, [str(p) for p in paths])

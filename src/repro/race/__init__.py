@@ -22,22 +22,20 @@ Layering (docs/RACE.md):
   context roots and BFS propagation, the blocking-effect fixpoint;
 * :mod:`repro.race.rules` -- the rule catalog, every finding carrying
   a witness call chain from a context root to the offending site;
-* :mod:`repro.race.engine` -- discovery, baseline and pragma wiring,
-  report assembly;
-* :mod:`repro.race.report` -- the versioned report and ``--graph``
-  model serialization.
+* :mod:`repro.race.report` -- :func:`analyze_paths`, the thin entry
+  point over the shared analyzer engine (:mod:`repro.sanitize.engine`:
+  discovery, one parse, pragmas, baseline), the versioned report and
+  the ``--graph`` model serialization.
 
 Run it as ``repro race src/`` or fold it into a sanitize run with
 ``repro sanitize --race src/``.
 """
 
-from .engine import RaceConfig, analyze_paths, build_analysis
 from .model import RaceModel, blocking_effects, propagate_contexts
-from .report import RACE_FORMAT, RaceReport, model_json
+from .report import RACE_FORMAT, RaceReport, analyze_paths, build_analysis, model_json
 from .rules import RACE_RULES, RaceAnalysis
 
 __all__ = [
-    "RaceConfig",
     "analyze_paths",
     "build_analysis",
     "RaceModel",

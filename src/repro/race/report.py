@@ -1,4 +1,9 @@
-"""Race reports: aggregation, text/JSON rendering, model serialization.
+"""Race reports: the entry points, text/JSON rendering, the model.
+
+:func:`analyze_paths` runs the race family on the analyzer engine
+(:mod:`repro.sanitize.engine`) and assembles its report;
+:func:`build_analysis` returns the raw analysis for the ``--graph``
+model and the unit tests.
 
 A :class:`RaceReport` is the result of one whole-program concurrency
 analysis run: the sorted diagnostics plus the sizes of the analysed
@@ -15,15 +20,22 @@ version-bumped change).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Iterable
 
-from ..diagnostics import DiagnosticReport
-from ..sanitize.diagnostics import Diagnostic
+from ..diagnostics import Baseline, Diagnostic, DiagnosticReport
+from ..sanitize.engine import Engine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .rules import RaceAnalysis
 
-__all__ = ["RACE_FORMAT", "RaceReport", "model_json"]
+__all__ = [
+    "RACE_FORMAT",
+    "RaceReport",
+    "analyze_paths",
+    "build_analysis",
+    "model_json",
+]
 
 #: Version of the race report and model JSON documents.
 RACE_FORMAT = 1
@@ -132,3 +144,31 @@ def model_json(analysis: "RaceAnalysis") -> dict[str, Any]:
         "functions": functions,
         "handles": handles,
     }
+
+
+def build_analysis(
+    paths: Iterable[str | Path], select: Iterable[str] | None = None
+) -> "tuple[RaceAnalysis, list[Diagnostic], int]":
+    """The concurrency analysis, its raw findings and the file count."""
+    engine = Engine(paths, select=select)
+    return engine.run_family("race"), engine.diagnostics, len(engine.files)
+
+
+def analyze_paths(
+    paths: Iterable[str | Path],
+    select: Iterable[str] | None = None,
+    baseline: Baseline | None = None,
+) -> RaceReport:
+    """Analyse a set of files/directories as one whole program."""
+    engine = Engine(paths, select=select)
+    analysis = engine.run_family("race")
+    kept, suppressed = engine.waive(baseline)
+    return RaceReport(
+        targets=engine.targets,
+        files=len(engine.files),
+        functions=len(analysis.program.functions),
+        edges=len(analysis.program.edges),
+        contexts=analysis.context_counts(),
+        diagnostics=kept,
+        suppressed=suppressed,
+    )

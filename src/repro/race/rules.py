@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from ..sanitize.diagnostics import Diagnostic, Severity, SourceLocation
+from ..diagnostics import Diagnostic, Severity, SourceLocation
 from .model import (
     BlockingEffect,
     RaceModel,

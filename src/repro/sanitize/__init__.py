@@ -21,21 +21,35 @@ the paper reproduction depends on but no unit test states directly:
 Built entirely on the stdlib :mod:`ast` -- no new dependencies -- and
 mirroring the linter's architecture: a rule registry with stable
 ``category/name`` ids, shared :class:`~repro.diagnostics.Diagnostic`
-records, JSON and human reports, ``--select`` filtering, and a
-checked-in (empty, and ratcheted-to-stay-empty) baseline.  CLI:
+records, JSON and human reports, ``--select`` filtering, and the one
+checked-in baseline (``analyzer-baseline.json``).  CLI:
 ``repro sanitize [paths] [--json] [--select] [--baseline] [--fix]``.
+
+This package also owns the analyzer engine (:mod:`.engine`) every
+family runs on: ``repro sanitize --flow --perf --race --shape`` parses
+each file once, builds one call graph, and applies one waiver pass.
 """
 
-from .baseline import BASELINE_VERSION, Baseline
-from .diagnostics import Diagnostic, FixIt, Severity, SourceLocation
+from ..diagnostics import (
+    BASELINE_VERSION,
+    Baseline,
+    Diagnostic,
+    FixIt,
+    Severity,
+    SourceLocation,
+)
 from .engine import (
+    FAMILIES,
+    Engine,
     FileContext,
     SanitizeConfig,
+    analyze,
     anchored_path,
     discover_files,
     sanitize_file,
     sanitize_paths,
     sanitize_source,
+    selected,
 )
 from .report import SanitizeReport
 from .rules import RULES, SanitizeRule, sanitize_rule
@@ -57,13 +71,17 @@ __all__ = [
     "FixIt",
     "Severity",
     "SourceLocation",
+    "FAMILIES",
+    "Engine",
     "FileContext",
     "SanitizeConfig",
+    "analyze",
     "anchored_path",
     "discover_files",
     "sanitize_file",
     "sanitize_paths",
     "sanitize_source",
+    "selected",
     "SanitizeReport",
     "RULES",
     "SanitizeRule",

@@ -1,26 +1,33 @@
-"""The sanitize engine: file discovery, shared per-file passes, rules.
+"""The analyzer engine: one pipeline for all five analyzer families.
 
 Mirrors :mod:`repro.lint.engine` with the analysis target swapped: the
 input is Python source from the repro tree itself, parsed with the
-stdlib :mod:`ast` (zero new dependencies).  Entry points:
+stdlib :mod:`ast` (zero new dependencies).  One :class:`Engine` pass
 
-* :func:`sanitize_source` -- analyse one in-memory source string under a
-  virtual path (the fixture-corpus and unit-test entry point);
-* :func:`sanitize_file` -- analyse one file on disk;
-* :func:`sanitize_paths` -- walk files/directories in deterministic
-  (sorted) order, apply the checked-in baseline, and aggregate a
-  :class:`~repro.sanitize.report.SanitizeReport`.
+1. discovers the files in deterministic (sorted) order, then reads
+   and parses each exactly once into a :class:`FileContext`
+   (unparseable files become ``parse/syntax-error`` diagnostics
+   instead of stack traces);
+2. runs the selected families in the fixed order of :data:`FAMILIES`:
+   the per-file ``sanitize`` rules over the contexts, then each
+   whole-program family's ``*Analysis.build`` and rule registry over
+   one :class:`~repro.flow.graph.Program`, built on first use;
+3. applies ``# sanitize: ok`` pragmas and the baseline once, in
+   :func:`~repro.diagnostics.apply_waivers`, over the findings of
+   every family concatenated in run order, so the final stable sort
+   breaks ties the same way whichever families ran.
 
-Shared passes (import-alias resolution, module-level name collection,
-suppression pragmas) are computed lazily and at most once per file via
-:class:`FileContext`, so every rule reads cached results.  Unparseable
-files become ``parse/syntax-error`` diagnostics instead of stack
-traces, mirroring the lenient document path of the network linter.
+Entry points: :func:`analyze` (the combined ``repro sanitize --flow
+--perf --race --shape`` gate), the thin per-family wrappers built on
+:class:`Engine` (:func:`sanitize_paths` here, ``analyze_paths`` in each
+whole-program package), and :func:`sanitize_source` /
+:func:`sanitize_file` for one in-memory or on-disk file.
 
 Determinism contract: the report depends only on the *set* of files and
 their contents -- never on visit order, dict order, or the host -- so
 two runs over the same tree are bit-identical (property-tested in
-``tests/sanitize/test_determinism.py``).
+``tests/sanitize/test_determinism.py`` and each family's
+``test_order_independence.py``).
 """
 
 from __future__ import annotations
@@ -30,20 +37,42 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
+from ..diagnostics import (
+    Baseline,
+    Diagnostic,
+    Severity,
+    SourceLocation,
+    apply_waivers,
+)
 from ..errors import SanitizeError
-from .baseline import Baseline
-from .diagnostics import Diagnostic, Severity, SourceLocation
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from ..flow.graph import Program
+    from ..perf.profilejoin import ProfileJoin
+    from .report import SanitizeReport
 
 __all__ = [
+    "FAMILIES",
     "SanitizeConfig",
     "FileContext",
+    "Engine",
+    "analyze",
+    "selected",
+    "rule_ids",
     "anchored_path",
+    "discover_files",
     "sanitize_source",
     "sanitize_file",
     "sanitize_paths",
 ]
+
+#: Every analyzer family, in the order the engine runs them.
+FAMILIES = ("sanitize", "flow", "perf", "race", "shape")
+
+#: The rule id of an unparseable file; every run reports it.
+PARSE_RULE = "parse/syntax-error"
 
 #: ``# sanitize: ok`` or ``# sanitize: ok[prefix, prefix]`` on a line
 #: suppresses findings anchored there (bracketed form: only matching
@@ -64,11 +93,13 @@ class SanitizeConfig:
     select: tuple[str, ...] | None = None
     schema_registry: dict[str, Any] | None = None
 
-    def rule_enabled(self, rule_id: str) -> bool:
-        """True iff ``rule_id`` passes the ``select`` filter."""
-        if not self.select:
-            return True
-        return any(rule_id.startswith(prefix) for prefix in self.select)
+
+def selected(rule_id: str, select: Iterable[str] | None) -> bool:
+    """True iff ``rule_id`` passes the ``--select`` prefix filter.
+
+    ``None`` or an empty filter selects every rule.
+    """
+    return not select or any(rule_id.startswith(p) for p in select)
 
 
 def anchored_path(path: str | Path) -> str:
@@ -95,7 +126,6 @@ class FileContext:
         source: str,
         path: str,
         tree: ast.Module,
-        config: SanitizeConfig,
         registry: dict[str, Any] | None = None,
     ):
         self.source = source
@@ -104,7 +134,6 @@ class FileContext:
         #: The ``repro/...``-anchored path (what rule scopes match on).
         self.relpath = anchored_path(path)
         self.tree = tree
-        self.config = config
         #: Parsed schema fingerprint registry (``schema/*`` rules).
         self.registry = registry if registry is not None else {}
 
@@ -269,13 +298,216 @@ def _assign_targets(stmt: ast.stmt) -> Iterator[str]:
             yield stmt.target.id
 
 
-def _load_registry(config: SanitizeConfig) -> dict[str, Any]:
-    """The schema fingerprint registry (packaged unless overridden)."""
-    if config.schema_registry is not None:
-        return config.schema_registry
+def _syntax_error(path: str, exc: SyntaxError) -> Diagnostic:
+    return Diagnostic(
+        rule=PARSE_RULE,
+        severity=Severity.ERROR,
+        message=f"cannot parse: {exc.msg}",
+        location=SourceLocation(path=path, line=exc.lineno, col=exc.offset),
+    )
+
+
+class _Unparsed:
+    """The waiver surface of a file that did not parse.
+
+    Its syntax error fingerprints with the offending line, like every
+    other finding, but no pragma can waive it.
+    """
+
+    def __init__(self, source: str):
+        self.lines = source.splitlines()
+
+    def suppressed(self, diag: Diagnostic) -> bool:
+        return False
+
+    def line_text(self, line: int | None) -> str:
+        if line is None or not (1 <= line <= len(self.lines)):
+            return ""
+        return self.lines[line - 1].strip()
+
+
+def _schema_registry(override: dict[str, Any] | None) -> dict[str, Any]:
+    """The schema fingerprint registry: ``override``, else the packaged one."""
+    if override is not None:
+        return override
     from .schema import load_registry
 
     return load_registry()
+
+
+def _family(family: str) -> tuple[dict[str, Any], Any]:
+    """One family's rule registry and the analysis class its rules read.
+
+    The per-file ``sanitize`` family has no analysis class: its rules
+    read each :class:`FileContext`.
+    """
+    if family == "sanitize":
+        from .rules import RULES
+
+        return RULES, None
+    if family == "flow":
+        from ..flow.rules import FLOW_RULES, FlowAnalysis
+
+        return FLOW_RULES, FlowAnalysis
+    if family == "perf":
+        from ..perf.rules import PERF_RULES, PerfAnalysis
+
+        return PERF_RULES, PerfAnalysis
+    if family == "race":
+        from ..race.rules import RACE_RULES, RaceAnalysis
+
+        return RACE_RULES, RaceAnalysis
+    if family == "shape":
+        from ..shape.rules import SHAPE_RULES, ShapeAnalysis
+
+        return SHAPE_RULES, ShapeAnalysis
+    raise SanitizeError(f"unknown analyzer family {family!r}")
+
+
+def rule_ids(families: Iterable[str], select: Iterable[str] | None) -> set[str]:
+    """Every rule a run of ``families`` under ``select`` checks.
+
+    The parse check runs on every file whatever the selection, so it
+    always counts.
+    """
+    ids = {PARSE_RULE}
+    for family in families:
+        ids.update(r for r in _family(family)[0] if selected(r, select))
+    return ids
+
+
+def _check(rules: dict[str, Any], target: Any, select) -> Iterator[Diagnostic]:
+    """Every finding of the selected rules of one registry."""
+    for rule in rules.values():
+        if selected(rule.id, select):
+            yield from rule.check(target)
+
+
+class Engine:
+    """One analyzer pass: each file parsed once, one program at most.
+
+    Construction discovers, reads and parses the files.
+    :meth:`run_family` adds one family's findings to :attr:`diagnostics`
+    and returns the analysis its rules read (``None`` for the per-file
+    ``sanitize`` family); the caller keeps it only as long as it needs
+    it.  :meth:`waive` applies pragmas and the baseline to everything
+    found.
+    """
+
+    def __init__(
+        self,
+        paths: Iterable[str | Path],
+        *,
+        select: Iterable[str] | None = None,
+        schema_registry: dict[str, Any] | None = None,
+    ):
+        paths = list(paths)
+        self.targets = sorted(str(p) for p in paths)
+        self.files = discover_files(paths)
+        self.select = tuple(select) if select else None
+        self.schema_registry = schema_registry
+        #: Parsed files by path, in discovery order.
+        self.contexts: dict[str, FileContext] = {}
+        self._unparsed: dict[str, _Unparsed] = {}
+        #: Raw findings of every family run so far, in run order.
+        self.diagnostics: list[Diagnostic] = []
+        for f in self.files:
+            path = f.as_posix()
+            try:
+                source = f.read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise SanitizeError(f"cannot read {f}: {exc}") from exc
+            try:
+                tree = ast.parse(source)
+            except SyntaxError as exc:
+                self.diagnostics.append(_syntax_error(path, exc))
+                self._unparsed[path] = _Unparsed(source)
+                continue
+            self.contexts[path] = FileContext(source, path, tree)
+
+    @cached_property
+    def program(self) -> "Program":
+        """The whole-program call graph over every parsed file."""
+        from ..flow.graph import Program
+
+        return Program.build(list(self.contexts.values()))
+
+    def run_family(
+        self, family: str, join: "ProfileJoin | None" = None
+    ) -> Any:
+        """Run one family's selected rules; return what they read.
+
+        ``join`` is a profile joined onto :attr:`program` for the perf
+        rules to rank by (``repro perf --profile``).
+        """
+        rules, analysis_class = _family(family)
+        if analysis_class is None:
+            registry = _schema_registry(self.schema_registry)
+            for ctx in self.contexts.values():
+                ctx.registry = registry
+                self.diagnostics.extend(_check(rules, ctx, self.select))
+            return None
+        if family == "perf":
+            analysis = analysis_class.build(self.program, join=join)
+        else:
+            analysis = analysis_class.build(self.program)
+        self.diagnostics.extend(_check(rules, analysis, self.select))
+        return analysis
+
+    def waive(self, baseline: Baseline | None) -> tuple[list[Diagnostic], int]:
+        """Apply pragmas, then ``baseline``: kept findings and suppressed count."""
+        return apply_waivers(
+            self.diagnostics, {**self._unparsed, **self.contexts}, baseline
+        )
+
+
+def analyze(
+    paths: Iterable[str | Path],
+    families: Iterable[str],
+    *,
+    select: Iterable[str] | None = None,
+    baseline: Baseline | None = None,
+    schema_registry: dict[str, Any] | None = None,
+) -> "SanitizeReport":
+    """Run ``families`` over one parse of ``paths``: the combined gate.
+
+    Families run in :data:`FAMILIES` order whatever order ``families``
+    lists them in, and each analysis is dropped before the next one is
+    built.  Baseline-matched findings are suppressed from the report
+    (and hence from the exit code) but counted in ``report.suppressed``
+    so a grandfathered tree is visibly grandfathered, not silently
+    clean.
+    """
+    from .report import SanitizeReport
+
+    wanted = set(families)
+    engine = Engine(paths, select=select, schema_registry=schema_registry)
+    for family in FAMILIES:
+        if family in wanted:
+            engine.run_family(family)
+    kept, suppressed = engine.waive(baseline)
+    return SanitizeReport(
+        targets=engine.targets,
+        files=len(engine.files),
+        diagnostics=kept,
+        suppressed=suppressed,
+    )
+
+
+def sanitize_paths(
+    paths: Iterable[str | Path],
+    config: SanitizeConfig | None = None,
+    baseline: Baseline | None = None,
+) -> "SanitizeReport":
+    """Run the per-file rules over a set of files/directories."""
+    cfg = config or SanitizeConfig()
+    return analyze(
+        paths,
+        ("sanitize",),
+        select=cfg.select,
+        baseline=baseline,
+        schema_registry=cfg.schema_registry,
+    )
 
 
 def sanitize_source(
@@ -285,7 +517,7 @@ def sanitize_source(
     *,
     registry: dict[str, Any] | None = None,
 ) -> list[Diagnostic]:
-    """Run every enabled rule over one source string.
+    """Run every selected per-file rule over one source string.
 
     ``path`` locates the findings *and* selects rule scopes (the
     determinism rules only apply under ``repro/core/`` etc.), so tests
@@ -295,29 +527,16 @@ def sanitize_source(
     """
     cfg = config or SanitizeConfig()
     if registry is None:
-        registry = _load_registry(cfg)
+        registry = _schema_registry(cfg.schema_registry)
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        return [
-            Diagnostic(
-                rule="parse/syntax-error",
-                severity=Severity.ERROR,
-                message=f"cannot parse: {exc.msg}",
-                location=SourceLocation(
-                    path=path, line=exc.lineno, col=exc.offset
-                ),
-            )
-        ]
-    from .rules import RULES
-
-    ctx = FileContext(source, path, tree, cfg, registry=registry)
-    diagnostics: list[Diagnostic] = []
-    for rule in RULES.values():
-        if not cfg.rule_enabled(rule.id):
-            continue
-        diagnostics.extend(rule.check(ctx))
-    diagnostics = [d for d in diagnostics if not ctx.suppressed(d)]
+        return [_syntax_error(path, exc)]
+    ctx = FileContext(source, path, tree, registry=registry)
+    diagnostics = [
+        d for d in _check(_family("sanitize")[0], ctx, cfg.select)
+        if not ctx.suppressed(d)
+    ]
     diagnostics.sort(key=lambda d: d.sort_key)
     return diagnostics
 
@@ -356,53 +575,3 @@ def discover_files(paths: Iterable[str | Path]) -> list[Path]:
         else:
             raise SanitizeError(f"no such file or directory: {p}")
     return sorted(files, key=lambda f: f.as_posix())
-
-
-def sanitize_paths(
-    paths: Iterable[str | Path],
-    config: SanitizeConfig | None = None,
-    baseline: Baseline | None = None,
-):
-    """Analyse a set of files/directories and aggregate the report.
-
-    Baseline-matched findings are suppressed from the report (and hence
-    from the exit code) but counted in ``report.suppressed`` so a
-    grandfathered tree is visibly grandfathered, not silently clean.
-    """
-    from .report import SanitizeReport
-
-    cfg = config or SanitizeConfig()
-    registry = _load_registry(cfg)
-    files = discover_files(paths)
-    diagnostics: list[Diagnostic] = []
-    suppressed = 0
-    for f in files:
-        try:
-            source = f.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SanitizeError(f"cannot read {f}: {exc}") from exc
-        lines = source.splitlines()
-        for diag in sanitize_source(
-            source, f.as_posix(), cfg, registry=registry
-        ):
-            if baseline is not None and baseline.matches(
-                diag, _line_text(lines, diag)
-            ):
-                suppressed += 1
-                continue
-            diagnostics.append(diag)
-    diagnostics.sort(key=lambda d: d.sort_key)
-    return SanitizeReport(
-        targets=sorted(str(p) for p in paths),
-        files=len(files),
-        diagnostics=diagnostics,
-        suppressed=suppressed,
-    )
-
-
-def _line_text(lines: list[str], diag: Diagnostic) -> str:
-    """The stripped source line a diagnostic anchors to (baseline key)."""
-    line = getattr(diag.location, "line", None)
-    if line is None or not (1 <= line <= len(lines)):
-        return ""
-    return lines[line - 1].strip()

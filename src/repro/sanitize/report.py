@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..diagnostics import DiagnosticReport
-from .diagnostics import Diagnostic
+from ..diagnostics import Diagnostic, DiagnosticReport
 
 __all__ = ["SanitizeReport"]
 

@@ -44,7 +44,7 @@ import ast
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .diagnostics import Diagnostic, Severity, SourceLocation
+from ..diagnostics import Diagnostic, Severity, SourceLocation
 from .schema import module_schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only

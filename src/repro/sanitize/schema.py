@@ -182,7 +182,7 @@ def collect_schemas(files: "list[Path]") -> dict[str, ModuleSchema]:
     (or do not parse) are skipped.  This is the discovery step behind
     ``repro sanitize --fix``.
     """
-    from .engine import FileContext, SanitizeConfig, anchored_path
+    from .engine import FileContext, anchored_path
     from .rules import SCHEMA_MODULES
 
     schemas: dict[str, ModuleSchema] = {}
@@ -195,9 +195,7 @@ def collect_schemas(files: "list[Path]") -> dict[str, ModuleSchema]:
             tree = ast.parse(source)
         except (OSError, UnicodeDecodeError, SyntaxError):
             continue
-        ctx = FileContext(
-            source, Path(f).as_posix(), tree, SanitizeConfig(), registry={}
-        )
+        ctx = FileContext(source, Path(f).as_posix(), tree)
         schemas[rel] = module_schema(ctx)
     return schemas
 

@@ -21,22 +21,20 @@ Layering (docs/SHAPE.md):
 * :mod:`repro.shape.rules` -- the rule catalog, hot-gated against the
   :mod:`repro.perf` cost model and scope-gated to the
   integer-exactness directories;
-* :mod:`repro.shape.engine` -- discovery, baseline and pragma wiring,
-  report assembly;
-* :mod:`repro.shape.report` -- the versioned report and ``--graph``
-  model serialization.
+* :mod:`repro.shape.report` -- :func:`analyze_paths`, the thin entry
+  point over the shared analyzer engine (:mod:`repro.sanitize.engine`:
+  discovery, one parse, pragmas, baseline), the versioned report and
+  the ``--graph`` model serialization.
 
 Run it as ``repro shape src/`` or fold it into a sanitize run with
 ``repro sanitize --shape src/``.
 """
 
-from .engine import ShapeConfig, analyze_paths, build_analysis
 from .model import AbstractValue, ShapeModel, dtype_kind, promote
-from .report import SHAPE_FORMAT, ShapeReport, model_json
+from .report import SHAPE_FORMAT, ShapeReport, analyze_paths, build_analysis, model_json
 from .rules import INT_EXACT_SCOPE, SHAPE_RULES, ShapeAnalysis
 
 __all__ = [
-    "ShapeConfig",
     "analyze_paths",
     "build_analysis",
     "AbstractValue",

@@ -1,4 +1,9 @@
-"""Shape reports: aggregation, text/JSON rendering, model serialization.
+"""Shape reports: the entry points, text/JSON rendering, the model.
+
+:func:`analyze_paths` runs the shape family on the analyzer engine
+(:mod:`repro.sanitize.engine`) and assembles its report;
+:func:`build_analysis` returns the raw analysis for the ``--graph``
+model and the unit tests.
 
 A :class:`ShapeReport` is the result of one whole-program dtype/ndim
 analysis run: the sorted diagnostics plus the sizes of the analysed
@@ -15,15 +20,22 @@ version-bumped change).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Iterable
 
-from ..diagnostics import DiagnosticReport
-from ..sanitize.diagnostics import Diagnostic
+from ..diagnostics import Baseline, Diagnostic, DiagnosticReport
+from ..sanitize.engine import Engine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .rules import ShapeAnalysis
 
-__all__ = ["SHAPE_FORMAT", "ShapeReport", "model_json"]
+__all__ = [
+    "SHAPE_FORMAT",
+    "ShapeReport",
+    "analyze_paths",
+    "build_analysis",
+    "model_json",
+]
 
 #: Version of the shape report and model JSON documents.
 SHAPE_FORMAT = 1
@@ -125,3 +137,31 @@ def model_json(analysis: "ShapeAnalysis") -> dict[str, Any]:
             for k in sorted(analysis.dtype_counts())
         },
     }
+
+
+def build_analysis(
+    paths: Iterable[str | Path], select: Iterable[str] | None = None
+) -> "tuple[ShapeAnalysis, list[Diagnostic], int]":
+    """The dtype/ndim analysis, its raw findings and the file count."""
+    engine = Engine(paths, select=select)
+    return engine.run_family("shape"), engine.diagnostics, len(engine.files)
+
+
+def analyze_paths(
+    paths: Iterable[str | Path],
+    select: Iterable[str] | None = None,
+    baseline: Baseline | None = None,
+) -> ShapeReport:
+    """Analyse a set of files/directories as one whole program."""
+    engine = Engine(paths, select=select)
+    analysis = engine.run_family("shape")
+    kept, suppressed = engine.waive(baseline)
+    return ShapeReport(
+        targets=engine.targets,
+        files=len(engine.files),
+        functions=len(analysis.program.functions),
+        arrays=analysis.constructor_count(),
+        dtypes=analysis.dtype_counts(),
+        diagnostics=kept,
+        suppressed=suppressed,
+    )

@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Iterator
 
 from ..flow.graph import Program
 from ..perf.costmodel import CostModel, build_cost_model
-from ..sanitize.diagnostics import Diagnostic, Severity, SourceLocation
+from ..diagnostics import Diagnostic, Severity, SourceLocation
 from ..sanitize.engine import anchored_path
 from .model import DEFAULT_SENSITIVE, ShapeModel, dtype_kind
 

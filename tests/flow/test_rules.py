@@ -91,11 +91,9 @@ class TestRuleScoping:
         ],
     )
     def test_select_restricts_rule_families(self, select, expected):
-        from repro.flow import FlowConfig
-
         from tests.flow.conftest import DIRTY
 
-        report = analyze_paths([DIRTY], FlowConfig(select=select))
+        report = analyze_paths([DIRTY], select=select)
         assert len(report.diagnostics) == expected
 
     def test_cli_modules_exempt_from_broad_except(self, tmp_path):

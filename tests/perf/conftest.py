@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.perf import PerfConfig, analyze_paths, build_analysis
+from repro.perf import analyze_paths, build_analysis
 
 #: The fixture trees: ``dirty`` plants one finding per rule (plus the
 #: depth-3 re-ranking foil), ``clean`` is vectorised/cold with zero.
@@ -35,6 +35,5 @@ def dirty_report():
 @pytest.fixture(scope="session")
 def profiled_analysis():
     """The dirty corpus with the fixture trace joined."""
-    config = PerfConfig(profile=str(TRACE))
-    analysis, diagnostics, _files = build_analysis([DIRTY], config)
+    analysis, diagnostics, _files = build_analysis([DIRTY], profile=str(TRACE))
     return analysis, diagnostics

@@ -6,13 +6,7 @@ import pytest
 
 from repro.errors import ObsError
 from repro.flow import build_program
-from repro.perf import (
-    PerfConfig,
-    join_profile,
-    load_profile,
-    span_owners,
-    worklist_paths,
-)
+from repro.perf import join_profile, load_profile, span_owners, worklist_paths
 
 from tests.perf.conftest import DIRTY, TRACE
 
@@ -97,8 +91,7 @@ class TestProfileRanking:
         assert worklist.entries[0].effective_depth == 3
 
     def test_profile_reranks_measured_function_first(self):
-        config = PerfConfig(profile=str(TRACE))
-        worklist = worklist_paths([DIRTY], config)
+        worklist = worklist_paths([DIRTY], profile=str(TRACE))
         # sweep (3.0s observed) outranks the statically deeper render
         assert worklist.entries[0].function == "driver.sweep"
         assert worklist.entries[0].weight == pytest.approx(3.0)

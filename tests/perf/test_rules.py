@@ -1,7 +1,7 @@
 """The perf rule catalog against the planted corpus."""
 
 from repro.perf import PERF_RULES, analyze_paths
-from repro.sanitize.diagnostics import Severity
+from repro.diagnostics import Severity
 
 from tests.perf.conftest import CLEAN, DIRTY
 

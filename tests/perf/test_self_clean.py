@@ -11,33 +11,44 @@ fixed, which the worklist floor below reflects.
 
 from pathlib import Path
 
+import pytest
+
 from repro.perf import analyze_paths, worklist_paths
 from repro.sanitize import Baseline
 
 from tests.perf.conftest import SRC
 
-BASELINE = Path(__file__).resolve().parents[2] / "perf-baseline.json"
+BASELINE = Path(__file__).resolve().parents[2] / "analyzer-baseline.json"
+
+
+@pytest.fixture(scope="module")
+def report():
+    """``src/`` under the shipped ratchet, analysed once for the module."""
+    return analyze_paths([SRC], baseline=Baseline.load(BASELINE))
+
+
+@pytest.fixture(scope="module")
+def worklist():
+    """The ``src/`` worklist, ranked once for the module."""
+    return worklist_paths([SRC])
 
 
 class TestSelfClean:
-    def test_source_tree_clean_under_shipped_ratchet(self):
-        report = analyze_paths([SRC], baseline=Baseline.load(BASELINE))
+    def test_source_tree_clean_under_shipped_ratchet(self, report):
         assert report.diagnostics == [], report.format_text()
         assert report.exit_code == 0
         # grandfathered, not hidden: the report says what it waived
         assert report.suppressed > 0
 
-    def test_analysis_actually_covered_the_tree(self):
+    def test_analysis_actually_covered_the_tree(self, report):
         """Guard against the gate passing vacuously."""
-        report = analyze_paths([SRC], baseline=Baseline.load(BASELINE))
         assert report.files >= 90
         assert report.functions >= 700
         assert report.hot >= 200
 
 
 class TestWorklistInventory:
-    def test_worklist_surfaces_core_candidates(self):
-        worklist = worklist_paths([SRC])
+    def test_worklist_surfaces_core_candidates(self, worklist):
         targeted = [
             e
             for e in worklist.entries
@@ -47,8 +58,7 @@ class TestWorklistInventory:
         # vectorization candidates in the hot subsystems
         assert len(targeted) >= 10
 
-    def test_vectorized_functions_left_the_worklist(self):
-        worklist = worklist_paths([SRC])
+    def test_vectorized_functions_left_the_worklist(self, worklist):
         remaining = {e.function for e in worklist.entries}
         # the former top-of-worklist scalar loops, now NumPy expressions
         assert "repro.core.pattern.Pattern.rho" not in remaining
@@ -57,9 +67,7 @@ class TestWorklistInventory:
             not in remaining
         )
 
-    def test_worklist_lists_baselined_findings(self):
+    def test_worklist_lists_baselined_findings(self, report, worklist):
         # the ratchet hides findings from the gate, never from the
         # inventory
-        report = analyze_paths([SRC], baseline=Baseline.load(BASELINE))
-        worklist = worklist_paths([SRC])
         assert len(worklist.entries) >= report.suppressed

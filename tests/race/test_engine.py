@@ -3,7 +3,8 @@
 import json
 
 from repro.diagnostics import Baseline
-from repro.race import RACE_FORMAT, RaceConfig, analyze_paths
+from repro.race import RACE_FORMAT, analyze_paths
+from repro.sanitize import selected
 
 from tests.race.conftest import DIRTY
 
@@ -46,15 +47,15 @@ class TestPragmas:
 
 class TestSelect:
     def test_select_restricts_to_matching_rules(self):
-        config = RaceConfig(select=("race/fork",))
-        report = analyze_paths([DIRTY], config)
+        report = analyze_paths([DIRTY], select=("race/fork",))
         assert sorted({d.rule for d in report.diagnostics}) == [
             "race/fork-after-thread",
             "race/fork-inherited-handle",
         ]
 
     def test_empty_select_means_everything(self):
-        assert RaceConfig().rule_enabled("race/anything")
+        assert selected("race/anything", None)
+        assert selected("race/anything", ())
 
 
 class TestBaseline:

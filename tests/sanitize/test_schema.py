@@ -7,7 +7,6 @@ import pytest
 from repro.errors import SanitizeError
 from repro.sanitize import (
     FileContext,
-    SanitizeConfig,
     collect_schemas,
     load_registry,
     module_schema,
@@ -18,9 +17,7 @@ from repro.sanitize.schema import REGISTRY_PATH
 
 
 def ctx_for(source, path="repro/core/certificates.py"):
-    return FileContext(
-        source, path, ast.parse(source), SanitizeConfig(), registry={}
-    )
+    return FileContext(source, path, ast.parse(source))
 
 
 TRACKED = (

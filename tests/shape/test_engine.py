@@ -3,7 +3,8 @@
 import json
 
 from repro.diagnostics import Baseline
-from repro.shape import SHAPE_FORMAT, ShapeConfig, analyze_paths
+from repro.sanitize import selected
+from repro.shape import SHAPE_FORMAT, analyze_paths
 
 from tests.shape.conftest import DIRTY
 
@@ -59,14 +60,14 @@ class TestPragmas:
 
 class TestSelect:
     def test_select_restricts_to_matching_rules(self):
-        config = ShapeConfig(select=("shape/implicit",))
-        report = analyze_paths([DIRTY], config)
+        report = analyze_paths([DIRTY], select=("shape/implicit",))
         assert sorted({d.rule for d in report.diagnostics}) == [
             "shape/implicit-upcast",
         ]
 
     def test_empty_select_means_everything(self):
-        assert ShapeConfig().rule_enabled("shape/anything")
+        assert selected("shape/anything", None)
+        assert selected("shape/anything", ())
 
 
 class TestBaseline:

@@ -11,11 +11,12 @@ import pytest
 from repro.diagnostics import (
     BASELINE_VERSION,
     Baseline,
+    Diagnostic,
     Severity,
+    SourceLocation,
     apply_waivers,
 )
 from repro.errors import SanitizeError
-from repro.sanitize.diagnostics import Diagnostic, SourceLocation
 
 
 def diag(rule="race/test-rule", path="/ci/src/repro/mod.py", line=3):
@@ -62,11 +63,31 @@ class TestDocumentRoundTrip:
         assert [e["rule"] for e in doc["findings"]] == ["a/rule", "z/rule"]
 
     def test_empty_shipped_shape(self):
-        # the shipped race-baseline.json is exactly this document
+        # an empty ratchet is exactly this document
         assert Baseline.document([]) == {
             "version": BASELINE_VERSION,
             "findings": [],
         }
+
+    def test_kept_entries_carry_over_verbatim(self):
+        kept = {("perf/copy-in-loop", "repro/a.py", "b = list(a)")}
+        doc = Baseline.document([(diag(), "x = 1")], kept)
+        assert doc["findings"] == [
+            {"rule": "perf/copy-in-loop", "path": "repro/a.py",
+             "content": "b = list(a)"},
+            {"rule": "race/test-rule", "path": "repro/mod.py",
+             "content": "x = 1"},
+        ]
+
+    def test_shipped_baseline_holds_only_perf_entries(self):
+        # every family reads the one shipped file; only the perf
+        # worklist is grandfathered in it
+        from pathlib import Path
+
+        shipped = Path(__file__).resolve().parents[1] / "analyzer-baseline.json"
+        entries = Baseline.load(shipped).entries
+        assert entries
+        assert {rule.split("/")[0] for rule, _, _ in entries} == {"perf"}
 
 
 class TestLoadValidation:
