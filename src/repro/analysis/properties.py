@@ -125,10 +125,10 @@ def reconstruct_reverse_delta(
         )
     levels: list[tuple[Gate, ...]] = [s.level.gates for s in network.stages]
 
-    def rec(wires: frozenset[int], j: int) -> ReverseDeltaNetwork:
+    def rec(wires: frozenset[int], j: int) -> tuple[list[int], list[list[Gate]]]:
         if j == 0:
             (w,) = wires
-            return ReverseDeltaNetwork.leaf(w)
+            return [w], []
         inner_edges: list[tuple[int, int]] = []
         for lvl in range(j - 1):
             for g in levels[lvl]:
@@ -219,13 +219,14 @@ def reconstruct_reverse_delta(
             )
             w1 = wires - w0
             try:
-                child0 = rec(w0, j - 1)
-                child1 = rec(w1, j - 1)
+                leaves0, levels0 = rec(w0, j - 1)
+                leaves1, levels1 = rec(w1, j - 1)
             except TopologyError as exc:
                 last_error = exc
                 continue
             oriented = [g if g.a in w0 else g.reversed() for g in final]
-            return ReverseDeltaNetwork.node(child0, child1, tuple(oriented))
+            below = [gates0 + gates1 for gates0, gates1 in zip(levels0, levels1)]
+            return leaves0 + leaves1, below + [oriented]
         if tried == 0:
             raise TopologyError(
                 "no balanced bipartition exists at this level", level=j - 1
@@ -233,7 +234,10 @@ def reconstruct_reverse_delta(
         assert last_error is not None
         raise last_error
 
-    return rec(frozenset(range(n)), log_n)
+    try:
+        return ReverseDeltaNetwork(*rec(frozenset(range(n)), log_n))
+    finally:
+        del rec  # it refers to itself; a kept cycle would hold the gates
 
 
 def is_reverse_delta_topology(network: ComparatorNetwork) -> bool:

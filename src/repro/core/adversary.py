@@ -38,14 +38,14 @@ Algorithmic skeleton (matching the proof text), per tree node:
   here because the induction never mints such indices -- asserted, not
   assumed.
 
-How it runs: a height sweep over the block array form
-(:class:`~repro.networks.delta.BlockArrays`).  The proof recurses, but a
-node's step reads and writes only the wires of its own subtree, and
-same-height nodes own disjoint wires; so running every height-1 node,
-then every height-2 node, and so on, gives exactly the state the
-post-order recursion gives.  Each of the steps above is one array
-operation per height over int64 **symbol codes** that keep the paper's
-order::
+How it runs: a height sweep over the block's own form, its leaf
+``rank`` and one level per height (see :mod:`repro.networks.delta`).
+The proof recurses, but a node's step reads and writes only the wires
+of its own subtree, and same-height nodes own disjoint wires; so
+running every height-1 node, then every height-2 node, and so on, gives
+exactly the state the post-order recursion gives.  Each of the steps
+above is one array operation per height over int64 **symbol codes**
+that keep the paper's order::
 
     S0 = 0  <  X(i, j) = i*n + 1 + j  <  M(i) = (i+1)*n  <  L0 = 2**62
 
@@ -262,7 +262,7 @@ def run_lemma41(
     if k < 1:
         raise PatternError(f"k must be positive, got {k}")
     n = pattern.n
-    if set(rdn.wires) != set(range(n)):
+    if not rdn.covers(n):
         raise PatternError(
             "the block must cover the pattern's wires 0..n-1 exactly"
         )
@@ -359,7 +359,7 @@ class _HeightSweep:
                 f"k={k} is too large for the int64 symbol codes of an "
                 f"{self.levels}-level block on {n} wires"
             )
-        self.form = rdn.arrays
+        self.rdn, self.rank = rdn, rdn.rank
         self.strategy, self.rng = strategy, rng
         codes = {S(0): 0, M(0): n, L(0): _LARGE}
         self.assign = np.fromiter(
@@ -390,12 +390,12 @@ class _HeightSweep:
 
     def run(self) -> None:
         """Process heights ``1 .. levels``."""
-        for h, level in zip(itertools.count(1), self.form.levels):
+        for h, level in zip(itertools.count(1), self.rdn.levels_flat()):
             self.step(h, *level.arrays)
 
     def step(self, h: int, a: np.ndarray, b: np.ndarray, ops: np.ndarray) -> None:
         """Every height-``h`` node's step, one array operation each."""
-        n, rank, sym, tok = self.n, self.form.rank, self.sym, self.tok
+        n, rank, sym, tok = self.n, self.rank, self.sym, self.tok
         count = n >> h
         post = _post_order(self.levels, h, count)
 

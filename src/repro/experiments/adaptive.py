@@ -150,19 +150,19 @@ def build_adaptive_block(
     assign: list[Symbol] = list(pattern.symbols)
     sym: list[Symbol] = list(pattern.symbols)
     tok: dict[int, int] = {w: w for w in pattern.m_set(0)}
+    levels: list[list[Gate]] = [[] for _ in range(n.bit_length() - 1)]
     fresh_x = [0]
 
-    def recurse(lo: int, hi: int) -> ReverseDeltaNetwork:
+    def recurse(lo: int, hi: int) -> None:
         if hi - lo == 1:
-            return ReverseDeltaNetwork.leaf(lo)
+            return
         mid = (lo + hi) // 2
-        c0 = recurse(lo, mid)
-        c1 = recurse(mid, hi)
+        recurse(lo, mid)
+        recurse(mid, hi)
         side0 = [(p, sym[p].i if p in tok else None) for p in range(lo, mid)]
         side1 = [(p, sym[p].i if p in tok else None) for p in range(mid, hi)]
-        final = tuple(
-            Gate(a, b, Op.PLUS) for a, b in pairing(side0, side1, k, rng)
-        )
+        final = [Gate(a, b, Op.PLUS) for a, b in pairing(side0, side1, k, rng)]
+        levels[(hi - lo).bit_length() - 2].extend(final)
         # --- mirror of the run_lemma41 node step -------------------------
         collisions: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
         for g in final:
@@ -204,9 +204,10 @@ def build_adaptive_block(
                     tok[g.b] = oa
                 if ob is not None:
                     tok[g.a] = ob
-        return ReverseDeltaNetwork.node(c0, c1, final)
 
-    return recurse(0, n)
+    recurse(0, n)
+    del recurse  # it refers to itself; a kept cycle would hold the gates
+    return ReverseDeltaNetwork(range(n), levels)
 
 
 @dataclass

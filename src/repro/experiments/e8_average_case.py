@@ -49,17 +49,13 @@ def sorting_biased_block(n: int, rng: np.random.Generator) -> ReverseDeltaNetwor
     blocks monotonically reduces the inversion count.
     """
     base = random_reverse_delta(n, rng, p_minus=0.0)
-
-    def orient(node: ReverseDeltaNetwork) -> ReverseDeltaNetwork:
-        if node.is_leaf:
-            return node
-        final = tuple(
-            Gate(g.a, g.b, Op.PLUS if g.a < g.b else Op.MINUS)
-            for g in node.final
-        )
-        return ReverseDeltaNetwork.node(orient(node.child0), orient(node.child1), final)
-
-    return orient(base)
+    return ReverseDeltaNetwork(
+        base.leaf_order,
+        [
+            [Gate(g.a, g.b, Op.PLUS if g.a < g.b else Op.MINUS) for g in level]
+            for level in base.levels_flat()
+        ],
+    )
 
 
 def sorting_biased_network(
@@ -86,16 +82,8 @@ def faulty_bitonic(
     base = bitonic_iterated_rdn(n)
     blocks = list(base.blocks)
     perm, blk = blocks[phase - 1]
-
-    def strip(node: ReverseDeltaNetwork) -> ReverseDeltaNetwork:
-        if node.is_leaf:
-            return node
-        final = node.final
-        if node.levels == blk.levels and final:
-            final = tuple(g for i, g in enumerate(final) if i != gate_index)
-        return ReverseDeltaNetwork.node(strip(node.child0), strip(node.child1), final)
-
-    blocks[phase - 1] = (perm, strip(blk))
+    final = [g for i, g in enumerate(blk.final) if i != gate_index]
+    blocks[phase - 1] = (perm, blk.with_final(final))
     return IteratedReverseDeltaNetwork(n, blocks)
 
 

@@ -95,25 +95,28 @@ def rdn_from_bit_order(
     labels = list(range(n)) if wires is None else list(wires)
     if len(labels) != n or len(set(labels)) != n:
         raise WireError("wires must be n distinct labels")
+    leaves: list[int] = []
+    levels: list[list[Gate]] = [[] for _ in range(d)]
 
-    def build(indices: list[int], depth: int) -> ReverseDeltaNetwork:
+    def build(indices: list[int], depth: int) -> None:
         if len(indices) == 1:
-            return ReverseDeltaNetwork.leaf(labels[indices[0]])
+            leaves.append(labels[indices[0]])
+            return
         bit = bit_order[depth]
         mask = 1 << bit
         lows = [i for i in indices if not i & mask]
         highs = [i for i in indices if i & mask]
-        c0 = build(lows, depth + 1)
-        c1 = build(highs, depth + 1)
+        build(lows, depth + 1)
+        build(highs, depth + 1)
         height = d - depth
-        final = []
         for i in lows:
             op = op_chooser(height, bit, labels[i])
             if op is not None:
-                final.append(Gate(labels[i], labels[i | mask], op))
-        return ReverseDeltaNetwork.node(c0, c1, tuple(final))
+                levels[height - 1].append(Gate(labels[i], labels[i | mask], op))
 
-    return build(list(range(n)), 0)
+    build(list(range(n)), 0)
+    del build  # it refers to itself; a kept cycle would hold the gates
+    return ReverseDeltaNetwork(leaves, levels)
 
 
 def butterfly_rdn(
@@ -162,16 +165,13 @@ def truncated_rdn(
     a forest of :math:`2^f`-wire reverse delta networks embedded in a full
     ``lg n``-level one.
     """
-
-    def strip(node: ReverseDeltaNetwork) -> ReverseDeltaNetwork:
-        if node.is_leaf:
-            return node
-        c0 = strip(node.child0)
-        c1 = strip(node.child1)
-        final = node.final if node.levels <= populated_levels else ()
-        return ReverseDeltaNetwork.node(c0, c1, final)
-
-    return strip(rdn)
+    return ReverseDeltaNetwork(
+        rdn.leaf_order,
+        [
+            level if height <= populated_levels else ()
+            for height, level in enumerate(rdn.levels_flat(), 1)
+        ],
+    )
 
 
 def random_reverse_delta(
@@ -194,22 +194,24 @@ def random_reverse_delta(
     This samples from the *full* class of Definition 3.4, exercising the
     arbitrary wire maps that serial composition permits.
     """
-    require_power_of_two(n, "network size")
+    d = ilog2(require_power_of_two(n, "network size"))
+    leaves: list[int] = []
+    levels: list[list[Gate]] = [[] for _ in range(d)]
 
-    def build(wires: list[int]) -> ReverseDeltaNetwork:
+    def build(wires: list[int]) -> None:
         if len(wires) == 1:
-            return ReverseDeltaNetwork.leaf(int(wires[0]))
+            leaves.append(wires[0])
+            return
         half = len(wires) // 2
-        wires = [int(w) for w in wires]
         if shuffle_pairing:
             rng.shuffle(wires)
         lows, highs = wires[:half], wires[half:]
-        c0 = build(sorted(lows))
-        c1 = build(sorted(highs))
+        build(sorted(lows))
+        build(sorted(highs))
         if shuffle_pairing:
-            lows = list(rng.permutation(lows))
-            highs = list(rng.permutation(highs))
-        final = []
+            lows = rng.permutation(lows).tolist()
+            highs = rng.permutation(highs).tolist()
+        final = levels[half.bit_length() - 1]
         for a, b in zip(lows, highs):
             if rng.random() >= p_gate:
                 continue
@@ -219,10 +221,11 @@ def random_reverse_delta(
                 op = Op.MINUS
             else:
                 op = Op.PLUS
-            final.append(Gate(int(a), int(b), op))
-        return ReverseDeltaNetwork.node(c0, c1, tuple(final))
+            final.append(Gate(a, b, op))
 
-    return build(list(range(n)))
+    build(list(range(n)))
+    del build  # it refers to itself; a kept cycle would hold the gates
+    return ReverseDeltaNetwork(leaves, levels)
 
 
 def random_iterated_rdn(

@@ -22,125 +22,79 @@ reverse delta networks with arbitrary fixed permutations in between.
 
 Representation
 --------------
-:class:`ReverseDeltaNetwork` is a binary tree.  Each node owns a set of
-global wire positions; its children partition that set, and its *final
-level* is a list of gates each pairing a child-0 wire with a child-1 wire.
-Evaluation is in place on global positions, so flattening the tree gives a
-:class:`~repro.networks.network.ComparatorNetwork` whose level ``m``
-(1-based) collects the final levels of all tree nodes of height ``m`` --
-small blocks first, the root's level last, exactly the recursive order of
-Definition 3.4.
-
-The block array form
---------------------
-One tree walk turns a tree into :class:`BlockArrays`, cached on the
-tree: the rank of every wire in the depth-first leaf order, and one
-:class:`~repro.networks.level.Level` per height, whose ``arrays`` hold
-its gates' endpoints and op codes.  Because the tree is complete and
-children come before parents, the height-``h`` ancestor of wire ``w``
-is node number ``rank[w] >> h`` of that height, and bit ``h - 1`` of
-``rank[w]`` says whether ``w`` lies on its child-1 side.  Same-height
-nodes own disjoint wires, so a whole height can be processed in one
-array step; the Lemma 4.1 kernel and flattening both read this form.
+A :class:`ReverseDeltaNetwork` is its wires in depth-first leaf order
+(child 0 first) plus one :class:`~repro.networks.level.Level` per tree
+height.  With ``rank[w]`` the position of wire ``w`` in the leaf order,
+the height-``h`` ancestor of ``w`` is node ``rank[w] >> h`` of that
+height, and bit ``h - 1`` of ``rank[w]`` says whether ``w`` lies on its
+child-1 side.  Level ``h`` holds the final levels of all height-``h``
+nodes, in leaf order: level ``h`` of the flattened network, the root's
+level last as in Definition 3.4.  Same-height nodes own disjoint wires,
+so validation, flattening and the Lemma 4.1 kernel treat a whole height
+in one array step; ``child0``, ``child1`` and ``final`` are derived.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .._util import require_power_of_two
-from ..errors import TopologyError, WireError
+from ..errors import LevelConflictError, TopologyError, WireError
 from .gates import Gate
 from .level import Level
 from .network import ComparatorNetwork, Stage
 from .permutations import Permutation
 
-__all__ = ["BlockArrays", "ReverseDeltaNetwork", "IteratedReverseDeltaNetwork"]
-
-
-@dataclass(frozen=True)
-class BlockArrays:
-    """The array form of a reverse delta network (see the module notes).
-
-    Attributes
-    ----------
-    rank:
-        ``rank[w]`` is wire ``w``'s position in the depth-first leaf order
-        (child 0 before child 1), ``-1`` for wires the tree does not own.
-    levels:
-        ``levels[h - 1]`` holds the final-level gates of every height-``h``
-        node, nodes in leaf order and each node's gates in its own order
-        -- the flattened network's level ``h``.
-    """
-
-    rank: np.ndarray
-    levels: tuple[Level, ...]
+__all__ = ["ReverseDeltaNetwork", "IteratedReverseDeltaNetwork"]
 
 
 class ReverseDeltaNetwork:
-    """A reverse delta network (Definition 3.4) as an explicit tree.
+    """A reverse delta network (Definition 3.4): leaf order plus levels.
 
-    Use the class methods :meth:`leaf` and :meth:`node` to construct;
-    higher-level constructors (butterfly, random, bitonic blocks, ...)
-    live in :mod:`repro.networks.builders`.
+    ``leaf_order`` lists the ``2 ** l`` distinct wires in depth-first
+    order; ``levels[h - 1]`` (a :class:`~repro.networks.level.Level` or
+    an iterable of gates) holds the final levels of the height-``h``
+    nodes, and each of its gates joins two wires of one such node,
+    child-0 end first.  Anything else raises
+    :class:`~repro.errors.TopologyError`.  :meth:`leaf` and :meth:`node`
+    compose small trees by hand.
     """
 
-    __slots__ = ("_wires", "_child0", "_child1", "_final", "_levels", "__dict__")
+    __slots__ = ("_leaves", "_levels")
 
     def __init__(
         self,
-        wires: tuple[int, ...],
-        child0: "ReverseDeltaNetwork | None",
-        child1: "ReverseDeltaNetwork | None",
-        final: tuple[Gate, ...],
+        leaf_order: Iterable[int] | np.ndarray,
+        levels: Iterable[Level | Iterable[Gate]] = (),
     ):
-        self._wires = wires
-        self._child0 = child0
-        self._child1 = child1
-        self._final = final
-        if child0 is None:
-            if child1 is not None or final:
-                raise TopologyError("a leaf has no second child and no final level")
-            if len(wires) != 1:
-                raise TopologyError(f"a leaf owns exactly one wire, got {wires!r}")
-            self._levels = 0
-        else:
-            assert child1 is not None
-            w0, w1 = set(child0.wires), set(child1.wires)
-            if w0 & w1:
-                raise TopologyError("children must own disjoint wire sets")
-            if w0 | w1 != set(wires):
-                raise TopologyError("children must partition the node's wires")
-            if len(w0) != len(w1):
-                raise TopologyError(
-                    f"children must be equal-sized, got {len(w0)} and {len(w1)}"
-                )
-            if child0.levels != child1.levels:
-                raise TopologyError("children must have equal level counts")
-            used: set[int] = set()
-            for g in final:
-                if g.a not in w0 or g.b not in w1:
-                    raise TopologyError(
-                        f"final-level gate {g} must pair a child-0 wire (first "
-                        "endpoint) with a child-1 wire (second endpoint)"
-                    )
-                for w in g.wires:
-                    if w in used:
-                        raise TopologyError(
-                            f"wire {w} used twice in one final level"
-                        )
-                    used.add(w)
-            self._levels = child0.levels + 1
+        leaves = np.array(leaf_order, dtype=np.int64)
+        try:
+            levels = tuple(x if isinstance(x, Level) else Level(x) for x in levels)
+        except LevelConflictError as exc:
+            raise TopologyError(f"{exc} of a reverse delta network") from None
+        if leaves.size != 1 << len(levels):
+            raise TopologyError(
+                f"a {len(levels)}-level reverse delta network has "
+                f"{1 << len(levels)} leaves, got {leaves.size}"
+            )
+        if leaves.min() < 0:
+            raise TopologyError(f"wires must be nonnegative, got {leaves.min()}")
+        leaves.setflags(write=False)
+        self._leaves, self._levels = leaves, levels
+        rank = self.rank
+        if np.count_nonzero(rank >= 0) != leaves.size:
+            raise TopologyError("the leaf order repeats a wire")
+        if levels:
+            _check_gates(rank, levels)
 
     # -- constructors --------------------------------------------------------
     @classmethod
     def leaf(cls, wire: int) -> "ReverseDeltaNetwork":
         """The 0-level reverse delta network: a single wire."""
-        return cls((int(wire),), None, None, ())
+        return cls((wire,))
 
     @classmethod
     def node(
@@ -154,48 +108,76 @@ class ReverseDeltaNetwork:
         Every gate must have its first endpoint in ``child0`` and its
         second in ``child1``; at most one gate per wire.
         """
-        wires = tuple(sorted(child0.wires + child1.wires))
-        return cls(wires, child0, child1, tuple(final))
+        below = [x.gates + y.gates for x, y in zip(child0._levels, child1._levels)]
+        leaves = np.concatenate((child0._leaves, child1._leaves))
+        return cls(leaves, below + [final])
 
     # -- structure -----------------------------------------------------------
     @property
+    def leaf_order(self) -> np.ndarray:
+        """The wires in depth-first leaf order (read-only int64)."""
+        return self._leaves
+
+    @property
+    def rank(self) -> np.ndarray:
+        """``rank[w]``: wire ``w``'s position in :attr:`leaf_order`, -1 for
+        an unowned wire (int64, length ``max(wires) + 1``; a new array on
+        every call, so a subtree holds no array of the whole range)."""
+        rank = np.full(int(self._leaves.max()) + 1, -1, dtype=np.int64)
+        rank[self._leaves] = np.arange(self._leaves.size, dtype=np.int64)
+        return rank
+
+    @property
     def wires(self) -> tuple[int, ...]:
-        """The global wire positions this (sub)network owns."""
-        return self._wires
+        """The global wire positions this (sub)network owns, ascending."""
+        return tuple(np.sort(self._leaves).tolist())
 
     @property
     def n(self) -> int:
         """Number of wires (``2 ** levels``)."""
-        return len(self._wires)
+        return self._leaves.size
 
     @property
     def levels(self) -> int:
         """The parameter ``l`` of Definition 3.4."""
-        return self._levels
+        return len(self._levels)
 
     @property
     def is_leaf(self) -> bool:
         """True for the 0-level (single-wire) network."""
-        return self._child0 is None
+        return not self._levels
+
+    def covers(self, n: int) -> bool:
+        """True iff the network owns exactly the wires ``0 .. n-1``."""
+        return self._leaves.size == n == int(self._leaves.max()) + 1
 
     @property
     def child0(self) -> "ReverseDeltaNetwork":
-        """First subnetwork (raises on a leaf)."""
-        if self._child0 is None:
-            raise TopologyError("a leaf has no children")
-        return self._child0
+        """First subnetwork, on the first half of the leaf order."""
+        return self._child(False)
 
     @property
     def child1(self) -> "ReverseDeltaNetwork":
-        """Second subnetwork (raises on a leaf)."""
-        if self._child1 is None:
+        """Second subnetwork, on the second half of the leaf order."""
+        return self._child(True)
+
+    def _child(self, second: bool) -> "ReverseDeltaNetwork":
+        if self.is_leaf:
             raise TopologyError("a leaf has no children")
-        return self._child1
+        half, rank, below = self.n >> 1, self.rank, self._levels[:-1]
+        keep = [(rank[lvl.arrays[0]] >= half) == second for lvl in below]
+        return ReverseDeltaNetwork(
+            self._leaves[half:] if second else self._leaves[:half],
+            [
+                [lvl.gates[i] for i in np.flatnonzero(mask).tolist()]
+                for lvl, mask in zip(below, keep)
+            ],
+        )
 
     @property
     def final(self) -> tuple[Gate, ...]:
         """The gates of the node's final level :math:`\\Gamma_l`."""
-        return self._final
+        return self._levels[-1].gates if self._levels else ()
 
     def __repr__(self) -> str:
         return f"ReverseDeltaNetwork(n={self.n}, levels={self.levels})"
@@ -207,45 +189,20 @@ class ReverseDeltaNetwork:
             yield from self.child1.nodes()
         yield self
 
-    @cached_property
+    @property
     def size(self) -> int:
         """Total number of comparators in the (sub)network."""
-        total = sum(1 for g in self._final if g.is_comparator)
-        if not self.is_leaf:
-            total += self.child0.size + self.child1.size
-        return total
+        return sum(self.comparator_count_by_level())
 
     # -- flattening ----------------------------------------------------------
-    @cached_property
-    def arrays(self) -> BlockArrays:
-        """The block array form, built in one tree walk and cached."""
-        leaves: list[int] = []
-        buckets: list[list[Gate]] = [[] for _ in range(self._levels)]
-
-        def visit(node: "ReverseDeltaNetwork") -> None:
-            if node.is_leaf:
-                leaves.append(node.wires[0])
-                return
-            visit(node.child0)
-            visit(node.child1)
-            buckets[node.levels - 1].extend(node.final)
-
-        visit(self)
-        rank = np.full(max(self._wires) + 1, -1, dtype=np.int64)
-        rank[leaves] = np.arange(len(leaves), dtype=np.int64)
-        rank.setflags(write=False)
-        levels = tuple(Level(gates) for gates in buckets)
-        return BlockArrays(rank=rank, levels=levels)
-
     def levels_flat(self) -> list[Level]:
         """Global gate levels in execution order (heights ``1 .. levels``).
 
         Level ``m`` collects the final levels of every node of height
         ``m``; all such nodes own disjoint wires, so the union is a valid
-        parallel level.  The levels are the cached levels of
-        :attr:`arrays`.
+        parallel level.
         """
-        return list(self.arrays.levels)
+        return list(self._levels)
 
     def to_network(self, n: int | None = None) -> ComparatorNetwork:
         """Flatten to a :class:`ComparatorNetwork` on ``n`` global wires.
@@ -254,29 +211,51 @@ class ReverseDeltaNetwork:
         pass-through.  The network has exactly ``levels`` stages, some of
         which may be empty.
         """
+        top = int(self._leaves.max())
         if n is None:
-            n = max(self._wires) + 1
-        if n <= max(self._wires, default=0):
-            raise WireError(f"n={n} too small for wires up to {max(self._wires)}")
+            n = top + 1
+        if n <= top:
+            raise WireError(f"n={n} too small for wires up to {top}")
         return ComparatorNetwork(n, self.levels_flat())
 
     # -- convenience ----------------------------------------------------------
     def map_wires(self, mapping: Callable[[int], int]) -> "ReverseDeltaNetwork":
         """Relabel every wire through ``mapping`` (must stay injective)."""
-        if self.is_leaf:
-            return ReverseDeltaNetwork.leaf(mapping(self._wires[0]))
-        c0 = self.child0.map_wires(mapping)
-        c1 = self.child1.map_wires(mapping)
-        final = tuple(Gate(mapping(g.a), mapping(g.b), g.op) for g in self._final)
-        return ReverseDeltaNetwork.node(c0, c1, final)
+        return ReverseDeltaNetwork(
+            [mapping(w) for w in self._leaves.tolist()],
+            [
+                [Gate(mapping(g.a), mapping(g.b), g.op) for g in lvl]
+                for lvl in self._levels
+            ],
+        )
 
     def with_final(self, final: Iterable[Gate]) -> "ReverseDeltaNetwork":
         """Replace the root's final level (children unchanged)."""
-        return ReverseDeltaNetwork.node(self.child0, self.child1, tuple(final))
+        return ReverseDeltaNetwork(self._leaves, self._levels[:-1] + (final,))
 
     def comparator_count_by_level(self) -> list[int]:
         """Comparators per flattened level (length ``levels``)."""
-        return [lvl.comparator_count for lvl in self.levels_flat()]
+        return [lvl.comparator_count for lvl in self._levels]
+
+
+def _check_gates(rank: np.ndarray, levels: tuple[Level, ...]) -> None:
+    """Raise unless every height-``h`` gate ``(a, b)`` joins two wires of
+    one height-``h`` node, child-0 end first: ``rank[a] >> (h - 1)`` is
+    even and ``rank[b] >> (h - 1)`` the next number.  All levels are
+    checked in one array step; an unowned wire ranks -1 and fails."""
+    sizes = [len(lvl) for lvl in levels]
+    below = np.repeat(np.arange(len(levels), dtype=np.int64), sizes)
+    a, b = (np.concatenate([lvl.arrays[end] for lvl in levels]) for end in (0, 1))
+    ranks = np.append(rank, np.int64(-1))  # wires past the end rank -1 too
+    half_a = ranks[np.minimum(a, rank.size)] >> below
+    half_b = ranks[np.minimum(b, rank.size)] >> below
+    bad = np.flatnonzero((half_a & 1 == 1) | (half_b != half_a + 1))
+    if bad.size:
+        gate = [g for lvl in levels for g in lvl][bad[0]]
+        raise TopologyError(
+            f"height-{below[bad[0]] + 1} gate {gate} must pair a child-0 wire "
+            "(first endpoint) with a child-1 wire (second endpoint) of one node"
+        )
 
 
 class IteratedReverseDeltaNetwork:
@@ -300,7 +279,7 @@ class IteratedReverseDeltaNetwork:
         blocks = tuple(blocks)
         lvl: int | None = None
         for perm, rdn in blocks:
-            if set(rdn.wires) != set(range(n)):
+            if not rdn.covers(n):
                 raise TopologyError(
                     f"every block must cover all {n} wires exactly once"
                 )

@@ -8,8 +8,11 @@ wrap them with version tagging.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any
+
+import numpy as np
 
 from ..errors import ReproError, WireError
 from .delta import IteratedReverseDeltaNetwork, ReverseDeltaNetwork
@@ -79,28 +82,48 @@ def network_from_json(doc: dict[str, Any]) -> ComparatorNetwork:
 
 
 def rdn_to_json(rdn: ReverseDeltaNetwork) -> dict[str, Any]:
-    """Serialise a :class:`ReverseDeltaNetwork` tree."""
-    if rdn.is_leaf:
-        return {"kind": "rdn", "wire": rdn.wires[0]}
-    return {
-        "kind": "rdn",
-        "child0": rdn_to_json(rdn.child0),
-        "child1": rdn_to_json(rdn.child1),
-        "final": [_gate_to_json(g) for g in rdn.final],
-    }
+    """Serialise a :class:`ReverseDeltaNetwork` tree.
+
+    The nested documents are built bottom-up from the form: the final
+    level of height-``h`` node ``q`` is the gates of level ``h`` whose
+    child-0 end ``a`` has ``rank[a] >> h == q``, in level order.
+    """
+    docs: list[dict[str, Any]] = [
+        {"kind": "rdn", "wire": w} for w in rdn.leaf_order.tolist()
+    ]
+    rank = rdn.rank
+    for height, level in zip(itertools.count(1), rdn.levels_flat()):
+        a, _, _ = level.arrays
+        owner = rank[a] >> height
+        order = np.argsort(owner, kind="stable")
+        bounds = np.cumsum(np.bincount(owner, minlength=len(docs) // 2))[:-1]
+        docs = [
+            {
+                "kind": "rdn",
+                "child0": docs[2 * q],
+                "child1": docs[2 * q + 1],
+                "final": [_gate_to_json(level.gates[i]) for i in node.tolist()],
+            }
+            for q, node in enumerate(np.split(order, bounds))
+        ]
+    return docs[0]
 
 
 def rdn_from_json(doc: dict[str, Any]) -> ReverseDeltaNetwork:
     """Deserialise a :class:`ReverseDeltaNetwork` tree."""
+    return ReverseDeltaNetwork(*_rdn_form(doc))
+
+
+def _rdn_form(doc: dict[str, Any]) -> tuple[list[int], list[list[Gate]]]:
+    """A tree document's leaf order and per-height gates."""
     if doc.get("kind") != "rdn":
         raise WireError(f"expected kind 'rdn', got {doc.get('kind')!r}")
     if "wire" in doc:
-        return ReverseDeltaNetwork.leaf(int(doc["wire"]))
-    return ReverseDeltaNetwork.node(
-        rdn_from_json(doc["child0"]),
-        rdn_from_json(doc["child1"]),
-        tuple(_gate_from_json(g) for g in doc["final"]),
-    )
+        return [int(doc["wire"])], []
+    leaves0, levels0 = _rdn_form(doc["child0"])
+    leaves1, levels1 = _rdn_form(doc["child1"])
+    below = [gates0 + gates1 for gates0, gates1 in zip(levels0, levels1)]
+    return leaves0 + leaves1, below + [[_gate_from_json(g) for g in doc["final"]]]
 
 
 def iterated_to_json(it: IteratedReverseDeltaNetwork) -> dict[str, Any]:

@@ -22,10 +22,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .._util import ilog2, require_power_of_two, rotate_left
 from ..errors import TopologyError
 from .delta import IteratedReverseDeltaNetwork, ReverseDeltaNetwork
-from .gates import Op
+from .gates import OP_CODE, OPS, Op
+from .permutations import bit_reversal_permutation
 from .registers import RegisterProgram, RegisterStep
 from .builders import rdn_from_bit_order
 
@@ -64,42 +67,38 @@ def shuffle_program_from_split_rdn(rdn: ReverseDeltaNetwork) -> RegisterProgram:
     """
     n = rdn.n
     d = ilog2(require_power_of_two(n, "network size"))
-    if rdn.levels != d or set(rdn.wires) != set(range(n)):
+    if rdn.levels != d or not rdn.covers(n):
         raise TopologyError(
             "expected a full lg(n)-level reverse delta network on wires 0..n-1"
         )
-    # ops[t][k] for stage t, pair (2k, 2k+1)
-    ops = [[Op.NOP] * (n // 2) for _ in range(d)]
-
-    def visit(node: ReverseDeltaNetwork, depth: int) -> None:
-        if node.is_leaf:
-            return
-        bit = depth  # required structure: depth-r node splits by bit r
-        mask = 1 << bit
-        lows = {w for w in node.child0.wires}
-        highs = {w for w in node.child1.wires}
-        for w in lows:
-            if w & mask or (w | mask) not in highs:
-                raise TopologyError(
-                    f"node at depth {depth} does not split its wires by bit {bit}"
-                )
-        t = d - 1 - depth  # executed stage index of this node's final level
-        for g in node.final:
-            if (g.a | mask) != g.b or g.a & mask:
-                raise TopologyError(
-                    f"final-level gate {g} does not pair across bit {bit}"
-                )
-            # After t+1 shuffles, register w sits at rot_left(w, t+1);
-            # the pair lands on adjacent positions (q, q+1).
-            q = rotate_left(g.a, d, t + 1)
-            if q & 1:
-                raise TopologyError("internal error: pair did not land even-aligned")
-            ops[t][q // 2] = g.op
-        visit(node.child0, depth + 1)
-        visit(node.child1, depth + 1)
-
-    visit(rdn, 0)
-    return RegisterProgram.shuffle_based(n, [tuple(row) for row in ops])
+    # depth-r nodes split by bit r exactly when the leaf order is the
+    # bit reversal of 0..n-1
+    if not np.array_equal(rdn.rank, bit_reversal_permutation(n).mapping):
+        raise TopologyError("the tree's depth-r nodes do not split by bit r")
+    levels = rdn.levels_flat()
+    if not levels:
+        return RegisterProgram.shuffle_based(n, [])
+    a, b, ops = (
+        np.concatenate([level.arrays[i] for level in levels]) for i in range(3)
+    )
+    # stage t holds the final levels of the height-(t+1) nodes, which
+    # pair across bit d-1-t
+    t = np.repeat(np.arange(d, dtype=np.int64), [len(level) for level in levels])
+    off = np.flatnonzero(b != a | (1 << (d - 1 - t)))
+    if off.size:
+        gate = [g for level in levels for g in level][off[0]]
+        raise TopologyError(
+            f"final-level gate {gate} does not pair across bit {d - 1 - t[off[0]]}"
+        )
+    # after t+1 shuffles, register w sits at rot_left(w, t+1), so the
+    # pair lands on the adjacent positions (q, q+1), q even
+    s = (t + 1) % d
+    q = ((a << s) | (a >> (d - s))) & (n - 1)
+    codes = np.full((d, n // 2), OP_CODE[Op.NOP], dtype=np.int8)
+    codes[t, q >> 1] = ops
+    return RegisterProgram.shuffle_based(
+        n, [tuple(OPS[c] for c in row) for row in codes.tolist()]
+    )
 
 
 def split_rdn_from_shuffle_stages(

@@ -119,7 +119,11 @@ class TestFlattening:
         t = small_tree()
         stripped = t.with_final([])
         assert stripped.size == 2
-        assert stripped.child0 is t.child0
+        # children are derived, not stored: compare their form
+        for side in ("child0", "child1"):
+            kept, orig = getattr(stripped, side), getattr(t, side)
+            assert list(kept.leaf_order) == list(orig.leaf_order)
+            assert kept.levels_flat() == orig.levels_flat()
 
 
 class TestIterated:
