@@ -20,10 +20,13 @@ exactly how :func:`is_butterfly_topology` decides it.
 from __future__ import annotations
 
 
+import numpy as np
+
 from .._util import ilog2, is_power_of_two
 from ..errors import TopologyError
 from ..networks.delta import ReverseDeltaNetwork
-from ..networks.gates import Gate
+from ..networks.gates import OPS, Gate
+from ..networks.level import Level
 from ..networks.network import ComparatorNetwork
 
 __all__ = [
@@ -33,24 +36,6 @@ __all__ = [
     "is_delta_topology",
     "is_butterfly_topology",
 ]
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 def _balanced_orientations(
@@ -112,7 +97,6 @@ def reconstruct_reverse_delta(
     as the butterfly have essentially unique splits and never backtrack).
     """
     n = network.n
-    budget = [max_attempts]
     if not network.is_pure_circuit():
         raise TopologyError("topology recognition requires a pure circuit network")
     if not is_power_of_two(n):
@@ -123,110 +107,118 @@ def reconstruct_reverse_delta(
             f"an l-level reverse delta network has exactly lg n = {log_n} levels, "
             f"got {network.depth}"
         )
-    levels: list[tuple[Gate, ...]] = [s.level.gates for s in network.stages]
+    if not log_n:
+        return ReverseDeltaNetwork([0])
+    search = _Search([s.level for s in network.stages], n, max_attempts)
+    search.node(
+        np.arange(n, dtype=np.int64), log_n, np.arange(search.a.size, dtype=np.int64)
+    )
+    return search.tree()
 
-    def rec(wires: frozenset[int], j: int) -> tuple[list[int], list[list[Gate]]]:
-        if j == 0:
-            (w,) = wires
-            return [w], []
-        inner_edges: list[tuple[int, int]] = []
-        for lvl in range(j - 1):
-            for g in levels[lvl]:
-                ina, inb = g.a in wires, g.b in wires
-                if ina != inb:
-                    raise TopologyError(
-                        f"gate {g} at level {lvl} crosses a required subnetwork "
-                        "boundary",
-                        level=lvl,
-                        gate=g,
-                    )
-                if ina:
-                    inner_edges.append((g.a, g.b))
-        final = [g for g in levels[j - 1] if g.a in wires or g.b in wires]
-        for g in final:
-            if not (g.a in wires and g.b in wires):
-                raise TopologyError(
-                    f"final-level gate {g} crosses the subnetwork boundary",
-                    level=j - 1,
-                    gate=g,
-                )
-        uf = _UnionFind(wires)
-        for a, b in inner_edges:
-            uf.union(a, b)
-        comp_of = {w: uf.find(w) for w in wires}
-        comps = sorted(set(comp_of.values()))
-        comp_index = {c: i for i, c in enumerate(comps)}
-        # 2-colour the component graph induced by the final level.
-        adj: list[list[int]] = [[] for _ in comps]
-        for g in final:
-            ca, cb = comp_index[comp_of[g.a]], comp_index[comp_of[g.b]]
-            if ca == cb:
-                raise TopologyError(
-                    f"final-level gate {g} joins wires already connected below",
-                    level=j - 1,
-                    gate=g,
-                )
-            adj[ca].append(cb)
-            adj[cb].append(ca)
-        colour: list[int | None] = [None] * len(comps)
-        groups: list[list[int]] = []  # meta-components (lists of comp indices)
-        for start in range(len(comps)):
-            if colour[start] is not None:
-                continue
-            colour[start] = 0
-            stack = [start]
-            members = [start]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if colour[v] is None:
-                        colour[v] = 1 - colour[u]  # type: ignore[operator]
-                        stack.append(v)
-                        members.append(v)
-                    elif colour[v] == colour[u]:
-                        raise TopologyError(
-                            "final level induces an odd cycle; no valid split",
-                            level=j - 1,
-                        )
-            groups.append(members)
-        comp_sizes = [0] * len(comps)
-        for w in wires:
-            comp_sizes[comp_index[comp_of[w]]] += 1
-        group_sizes = []
-        for members in groups:
-            s0 = sum(comp_sizes[c] for c in members if colour[c] == 0)
-            s1 = sum(comp_sizes[c] for c in members if colour[c] == 1)
-            group_sizes.append((s0, s1))
+
+class _Search:
+    """The backtracking split search of one :func:`reconstruct_reverse_delta`.
+
+    Gates are numbered in level-then-gate order over the concatenated
+    level arrays.  :meth:`node` decides one node from its wires and the
+    ids of the gates below and at its final level that lie inside it
+    (the parent splits its own list, keeping the order), so no node
+    rescans a level.  Its components come from :func:`_union_roots`:
+    one union pass over all levels gives every node the roots that a
+    union-find over only its own gates would.  Each success appends to
+    :attr:`leaves` and :attr:`finals` in depth-first order, and a failed
+    attempt truncates both back.
+    """
+
+    def __init__(self, levels: list[Level], n: int, max_attempts: int):
+        self.a, self.b, self.ops = (
+            np.concatenate([lvl.arrays[i] for lvl in levels]) for i in range(3)
+        )
+        #: First gate id of each level, and the total.
+        self.starts = np.cumsum([0] + [len(lvl) for lvl in levels])
+        parent = list(range(n))
+        #: Per level ``t <= l - 2``: each wire's root after levels ``0 .. t``.
+        self.roots = [
+            _union_roots(parent, self.a[lo:hi].tolist(), self.b[lo:hi].tolist())
+            for lo, hi in zip(self.starts[:-2], self.starts[1:-1])
+        ]
+        self.budget = max_attempts
+        self.scratch = np.zeros(n, dtype=np.int64)
+        self.leaves: list[int] = []
+        #: ``(level, final gate ids)`` of every decided node, depth first.
+        self.finals: list[tuple[int, np.ndarray]] = []
+        self.levels = len(levels)
+
+    def gate(self, gate_id: int) -> Gate:
+        """The gate with id ``gate_id``, for an error message."""
+        return Gate(
+            int(self.a[gate_id]), int(self.b[gate_id]), OPS[self.ops[gate_id]]
+        )
+
+    def attempt(self) -> None:
+        """Spend one split trial of the budget."""
+        if self.budget <= 0:
+            raise TopologyError(
+                "topology recognition exceeded its backtracking budget; "
+                "increase max_attempts"
+            )
+        self.budget -= 1
+
+    def node(self, wires: np.ndarray, j: int, gates: np.ndarray) -> None:
+        """Decide the height-``j`` node on ``wires`` or raise."""
+        cut = np.searchsorted(gates, self.starts[j - 1])
+        inner, final = gates[:cut], gates[cut:]
+        if j == 1:
+            # two single-wire components: a gate joins them, and the
+            # first balanced orientation puts the smaller wire first;
+            # without one the first puts the larger wire first
+            self.attempt()
+            low, high = sorted(wires.tolist())
+            self.leaves += (low, high) if final.size else (high, low)
+            self.finals.append((0, final))
+            return
+        index = self.scratch
+        roots = self.roots[j - 2][wires]
+        tops = np.sort(wires[roots == wires])  # one root per component
+        index[tops] = np.arange(tops.size, dtype=np.int64)
+        comp = index[roots]
+        index[wires] = comp
+        ca, cb = index[self.a[final]], index[self.b[final]]
+        joined = np.flatnonzero(ca == cb)
+        if joined.size:
+            g = self.gate(final[joined[0]])
+            raise TopologyError(
+                f"final-level gate {g} joins wires already connected below",
+                level=j - 1,
+                gate=g,
+            )
+        colouring = _two_colour(ca, cb, tops.size)
+        if colouring is None:
+            raise TopologyError(
+                "final level induces an odd cycle; no valid split", level=j - 1
+            )
+        colour, group = colouring
+        sizes = np.bincount(
+            2 * group[comp] + colour[comp], minlength=2 * int(group.max() + 1)
+        )
         # Sparse final levels can admit several balanced bipartitions, of
         # which only some are recursively valid -- backtrack over all of
         # them (bounded by the attempt budget).
         last_error: TopologyError | None = None
         tried = 0
-        for orientation in _balanced_orientations(group_sizes, len(wires) // 2):
+        for orientation in _balanced_orientations(
+            sizes.reshape(-1, 2).tolist(), wires.size // 2
+        ):
             tried += 1
-            if budget[0] <= 0:
-                raise TopologyError(
-                    "topology recognition exceeded its backtracking budget; "
-                    "increase max_attempts"
-                )
-            budget[0] -= 1
-            side_of_comp = [0] * len(comps)
-            for gi, members in enumerate(groups):
-                for c in members:
-                    side_of_comp[c] = colour[c] ^ orientation[gi]  # type: ignore[operator]
-            w0 = frozenset(
-                w for w in wires if side_of_comp[comp_index[comp_of[w]]] == 0
-            )
-            w1 = wires - w0
+            self.attempt()
+            side = (colour ^ np.take(orientation, group))[comp]
             try:
-                leaves0, levels0 = rec(w0, j - 1)
-                leaves1, levels1 = rec(w1, j - 1)
+                self.children(wires, side, inner, j)
             except TopologyError as exc:
                 last_error = exc
                 continue
-            oriented = [g if g.a in w0 else g.reversed() for g in final]
-            below = [gates0 + gates1 for gates0, gates1 in zip(levels0, levels1)]
-            return leaves0 + leaves1, below + [oriented]
+            self.finals.append((j - 1, final))
+            return
         if tried == 0:
             raise TopologyError(
                 "no balanced bipartition exists at this level", level=j - 1
@@ -234,10 +226,105 @@ def reconstruct_reverse_delta(
         assert last_error is not None
         raise last_error
 
-    try:
-        return ReverseDeltaNetwork(*rec(frozenset(range(n)), log_n))
-    finally:
-        del rec  # it refers to itself; a kept cycle would hold the gates
+    def children(
+        self, wires: np.ndarray, side: np.ndarray, inner: np.ndarray, j: int
+    ) -> None:
+        """Decide both children of a split, or raise and undo.
+
+        Sides are whole components of the gates below the final level,
+        so each such gate lies inside one child: no child can find a
+        gate crossing its boundary, and the side of a gate's first end
+        says which child's list it joins.
+        """
+        self.scratch[wires] = side
+        low = self.scratch[self.a[inner]] == 0
+        mark = len(self.leaves), len(self.finals)
+        try:
+            self.node(wires[side == 0], j - 1, inner[low])
+            self.node(wires[side != 0], j - 1, inner[~low])
+        except TopologyError:
+            del self.leaves[mark[0] :], self.finals[mark[1] :]
+            raise
+
+    def tree(self) -> ReverseDeltaNetwork:
+        """The decided network: each level's final gates in node order,
+        turned so the child-0 end comes first."""
+        leaves = np.array(self.leaves, dtype=np.int64)
+        rank = np.empty(leaves.size, dtype=np.int64)
+        rank[leaves] = np.arange(leaves.size, dtype=np.int64)
+        return ReverseDeltaNetwork(
+            leaves, [self.level(h, rank) for h in range(self.levels)]
+        )
+
+    def level(self, h: int, rank: np.ndarray) -> Level:
+        """Level ``h`` of the decided network."""
+        ids = np.concatenate([gates for lvl, gates in self.finals if lvl == h])
+        level = Level.from_arrays(self.a[ids], self.b[ids], self.ops[ids])
+        return level.reoriented((rank[self.a[ids]] >> h) & 1 == 1)
+
+
+def _union_roots(parent: list[int], a: list[int], b: list[int]) -> np.ndarray:
+    """Add one level's gates to the union-find ``parent``; every wire's root.
+
+    The union rule is ``parent[find(a)] = find(b)``, in gate order.  The
+    roots a component ends with depend only on that rule and the order
+    of its own gates -- not on path compression, nor on unions of other
+    components -- so the roots after levels ``0 .. t`` are those a node
+    would get from a union-find over just its own gates.
+    """
+    for x, y in zip(a, b):
+        root_x, root_y = _find(parent, x), _find(parent, y)
+        if root_x != root_y:
+            parent[root_x] = root_y
+    roots = np.array(parent, dtype=np.int64)
+    up = roots[roots]
+    while not np.array_equal(up, roots):
+        roots, up = up, up[up]
+    return roots
+
+
+def _find(parent: list[int], x: int) -> int:
+    """The root of ``x``, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _two_colour(
+    ca: np.ndarray, cb: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """2-colour ``count`` components so every edge ``(ca[i], cb[i])``
+    joins two colours, or ``None`` if an edge closes an odd cycle.
+
+    Returns each component's colour and group (connected part of the
+    edge graph); groups are numbered by their smallest component, which
+    gets colour 0 -- what a search from each group's smallest component
+    gives.  It works on the bipartite double cover: node ``2c + s`` is
+    component ``c`` in colour ``s``, and an edge joins ``2u + s`` to
+    ``2v + 1 - s``.  Min-label propagation with shortcutting labels every
+    cover node with the smallest node of its part, ``2m`` or ``2m + 1``
+    for ``m`` the smallest component of its group; a component whose two
+    cover nodes share a label lies on an odd cycle.
+    """
+    if not ca.size:
+        return np.zeros(count, dtype=np.int64), np.arange(count, dtype=np.int64)
+    if count == 2:  # every edge joins the two components
+        return np.arange(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    ends = np.concatenate((2 * ca, 2 * ca + 1, 2 * cb, 2 * cb + 1))
+    other = np.concatenate((2 * cb + 1, 2 * cb, 2 * ca + 1, 2 * ca))
+    label = np.arange(2 * count, dtype=np.int64)
+    while True:
+        low = np.minimum(label[ends], label[other])
+        nxt = label[label]
+        np.minimum.at(nxt, ends, low)
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    even, odd = label[0::2], label[1::2]
+    if (even == odd).any():
+        return None
+    group = np.unique(even >> 1, return_inverse=True)[1]
+    return even & 1, group.astype(np.int64)
 
 
 def is_reverse_delta_topology(network: ComparatorNetwork) -> bool:

@@ -94,7 +94,7 @@ def recognize_iterated_rdn(
         flat = network.flattened()
         stages = list(flat.stages)
         # drop the trailing pure-permutation stage flattening may add
-        if stages and stages[-1].perm is not None and not stages[-1].level.gates:
+        if stages and stages[-1].perm is not None and not len(stages[-1].level):
             stages = stages[:-1]
         if any(s.perm is not None for s in stages):  # pragma: no cover - defensive
             raise TopologyError("flattening left an interior permutation")

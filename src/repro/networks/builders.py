@@ -30,7 +30,8 @@ import numpy as np
 from .._util import ilog2, require_power_of_two
 from ..errors import TopologyError, WireError
 from .delta import IteratedReverseDeltaNetwork, ReverseDeltaNetwork
-from .gates import Gate, Op
+from .gates import OP_CODE, Op
+from .level import Level
 from .permutations import Permutation, random_permutation
 
 __all__ = [
@@ -46,6 +47,8 @@ __all__ = [
     "empty_rdn",
     "constant_op_chooser",
 ]
+
+_PLUS, _MINUS, _SWAP = (OP_CODE[op] for op in (Op.PLUS, Op.MINUS, Op.SWAP))
 
 #: Decides the gate for a final-level pair.  Called with ``(height, bit,
 #: low_wire)`` where ``height`` is the tree height of the node (root =
@@ -82,10 +85,17 @@ def rdn_from_bit_order(
         at tree depth ``r`` (so ``bit_order[0]`` belongs to the root and is
         executed *last*).
     op_chooser:
-        Gate chooser; see :data:`OpChooser`.
+        Gate chooser; see :data:`OpChooser`.  It is called once per
+        pair, node by node in post-order (children first) and by
+        ascending position within a node.
     wires:
         Optional explicit global wire labels (default ``range(n)``); the
         bit structure refers to positions within this sequence.
+
+    The tree is never walked: position ``i`` has leaf rank
+    ``sum(bit(i, bit_order[r]) << (d - 1 - r))``, and its height-``h``
+    node is ``rank >> h``, so the pairs, their chooser calls and the
+    levels all come from array sorts.
     """
     d = ilog2(require_power_of_two(n, "network size"))
     if sorted(bit_order) != list(range(d)):
@@ -95,28 +105,67 @@ def rdn_from_bit_order(
     labels = list(range(n)) if wires is None else list(wires)
     if len(labels) != n or len(set(labels)) != n:
         raise WireError("wires must be n distinct labels")
-    leaves: list[int] = []
-    levels: list[list[Gate]] = [[] for _ in range(d)]
+    wire_of = _wire_array(labels)
+    index = np.arange(n, dtype=np.int64)
+    bits = np.array(bit_order, dtype=np.int64)
+    weights = 1 << np.arange(d - 1, -1, -1, dtype=np.int64)
+    rank = ((index[:, None] >> bits) & 1) @ weights
+    leaves = np.empty(n, dtype=np.int64)
+    leaves[rank] = wire_of
+    # every pair (height h, low position i), heights ascending, i per height
+    heights = np.repeat(np.arange(1, d + 1, dtype=np.int64), n >> 1)
+    pair_bits = bits[d - heights]
+    clear = ((index >> bits[::-1, None]) & 1) == 0
+    low = np.flatnonzero(clear.ravel()) % n
+    node_end = ((rank[low] >> heights) + 1) << heights
+    calls = np.lexsort((low, heights, node_end))  # post-order, then position
+    chosen = [
+        op_chooser(h, bit, labels[i])
+        for h, bit, i in zip(
+            heights[calls].tolist(), pair_bits[calls].tolist(), low[calls].tolist()
+        )
+    ]
+    # regroup by height; within a height, call order is node order
+    by_height = np.argsort(heights[calls], kind="stable")
+    codes = np.fromiter(map(_op_code, chosen), dtype=np.int8, count=len(chosen))
+    codes = codes[by_height]
+    pairs = calls[by_height][codes >= 0]
+    a = wire_of[low[pairs]]
+    b = wire_of[low[pairs] | (1 << pair_bits[pairs])]
+    return ReverseDeltaNetwork(
+        leaves, _levels(heights[pairs] - 1, a, b, codes[codes >= 0], d)
+    )
 
-    def build(indices: list[int], depth: int) -> None:
-        if len(indices) == 1:
-            leaves.append(labels[indices[0]])
-            return
-        bit = bit_order[depth]
-        mask = 1 << bit
-        lows = [i for i in indices if not i & mask]
-        highs = [i for i in indices if i & mask]
-        build(lows, depth + 1)
-        build(highs, depth + 1)
-        height = d - depth
-        for i in lows:
-            op = op_chooser(height, bit, labels[i])
-            if op is not None:
-                levels[height - 1].append(Gate(labels[i], labels[i | mask], op))
 
-    build(list(range(n)), 0)
-    del build  # it refers to itself; a kept cycle would hold the gates
-    return ReverseDeltaNetwork(leaves, levels)
+def _wire_array(labels: Sequence[int]) -> np.ndarray:
+    """Wire labels as an int64 array (a :class:`~repro.errors.WireError`
+    unless every label is an integer)."""
+    wires = np.asarray(labels)
+    if wires.dtype.kind not in "iu":
+        raise WireError(f"wire labels must be integers, got {labels!r}")
+    return wires.astype(np.int64)
+
+
+def _op_code(op: Op | str | None) -> int:
+    """The op code of one chooser result, -1 for ``None`` (no gate).  A
+    label such as ``"+"`` is read with :meth:`Op.from_str`, which
+    refuses anything else."""
+    if op is None:
+        return -1
+    return OP_CODE[op if isinstance(op, Op) else Op.from_str(op)]
+
+
+def _levels(
+    level_of: np.ndarray, a: np.ndarray, b: np.ndarray, codes: np.ndarray, count: int
+) -> list[Level]:
+    """``count`` levels from gates sorted by their level index ``level_of``."""
+    if not count:
+        return []
+    bounds = np.cumsum(np.bincount(level_of, minlength=count))[:-1]
+    return [
+        Level.from_arrays(*parts)
+        for parts in zip(*(np.split(arr, bounds) for arr in (a, b, codes)))
+    ]
 
 
 def butterfly_rdn(
@@ -195,37 +244,150 @@ def random_reverse_delta(
     arbitrary wire maps that serial composition permits.
     """
     d = ilog2(require_power_of_two(n, "network size"))
-    leaves: list[int] = []
-    levels: list[list[Gate]] = [[] for _ in range(d)]
+    wires = np.arange(n, dtype=np.int64)
+    if not d:
+        return ReverseDeltaNetwork(wires)
+    grown = _Growth(rng, shuffle_pairing, p_gate, p_exchange, d)
+    grown.node(wires)
+    return ReverseDeltaNetwork(
+        np.concatenate(grown.leaves),
+        [
+            _drawn_level(nodes, draws, starts, p_gate, p_minus, p_exchange)
+            for nodes, draws, starts in zip(grown.nodes, grown.draws, grown.starts)
+        ],
+    )
 
-    def build(wires: list[int]) -> None:
-        if len(wires) == 1:
-            leaves.append(wires[0])
-            return
-        half = len(wires) // 2
-        if shuffle_pairing:
+
+def _drawn_level(
+    nodes: list[np.ndarray],
+    draws: list[np.ndarray],
+    starts: list[Sequence[int]],
+    p_gate: float,
+    p_minus: float,
+    p_exchange: float,
+) -> Level:
+    """One height's level from its nodes' wires, draws and pair starts,
+    in node order."""
+    ends = np.concatenate(nodes).reshape(len(nodes), 2, -1)
+    lows, highs = ends[:, 0].ravel(), ends[:, 1].ravel()
+    sizes = np.fromiter(map(len, draws), dtype=np.int64, count=len(draws))
+    offsets = np.repeat(np.cumsum(sizes) - sizes, ends.shape[2])
+    keep, ops = _pair_gates(
+        np.concatenate(draws), np.concatenate(starts) + offsets,
+        p_gate, p_exchange, p_minus,
+    )
+    return Level.from_arrays(lows[keep], highs[keep], ops)
+
+
+class _Growth:
+    """The RNG walk of one :func:`random_reverse_delta` build.
+
+    :meth:`node` makes, for one node and in the order of the
+    node-by-node recursion, the split shuffle on the way down, the
+    children, the two pairing shuffles and the node's draw for its
+    gates; the draws are decoded per height afterwards
+    (:func:`_pair_gates`).  A pair takes 1-3 doubles (gate? exchange?
+    minus?), so a node draws 3 per pair at once.  While every pair
+    takes 3, pair ``j`` starts at ``3 j``.  Fewer is possible only if
+    ``may_waste`` (``p_gate < 1`` or ``p_exchange > 0``); then the node
+    walks its pairs (:func:`_chain`) and, if they used fewer doubles
+    than it drew, restores the pre-draw state and redraws exactly the
+    number used.  Skipping ahead with ``bit_generator.advance`` instead
+    would drop the buffered 32-bit half a shuffle may leave behind, and
+    change every later shuffle.  The state snapshot and the walk cost
+    ~7 us a node, which a default-parameter build (never a short pair)
+    does not pay: at n = 2**12 it takes 41 ms, and 69 ms with them.
+    """
+
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        shuffle_pairing: bool,
+        p_gate: float,
+        p_exchange: float,
+        d: int,
+    ):
+        self.rng = rng
+        self.shuffle_pairing = shuffle_pairing
+        self.p_gate, self.p_exchange = p_gate, p_exchange
+        self.may_waste = p_gate < 1 or p_exchange > 0
+        self.leaves: list[np.ndarray] = []
+        #: Per height: each node's wires (pair ``j`` is ``(w[j], w[k + j])``),
+        #: its draws and where each pair's draws start, in node order.
+        self.nodes: list[list[np.ndarray]] = [[] for _ in range(d)]
+        self.draws: list[list[np.ndarray]] = [[] for _ in range(d)]
+        self.starts: list[list[Sequence[int]]] = [[] for _ in range(d)]
+        #: Per height: the starts when every pair takes three doubles.
+        self.aligned = [np.arange(0, 3 << h, 3, dtype=np.int64) for h in range(d)]
+
+    def node(self, wires: np.ndarray) -> None:
+        """Grow the node on ``wires`` (sorted; reordered in place)."""
+        rng, k = self.rng, wires.size >> 1
+        if self.shuffle_pairing:
             rng.shuffle(wires)
-        lows, highs = wires[:half], wires[half:]
-        build(sorted(lows))
-        build(sorted(highs))
-        if shuffle_pairing:
-            lows = rng.permutation(lows).tolist()
-            highs = rng.permutation(highs).tolist()
-        final = levels[half.bit_length() - 1]
-        for a, b in zip(lows, highs):
-            if rng.random() >= p_gate:
-                continue
-            if rng.random() < p_exchange:
-                op = Op.SWAP
-            elif rng.random() < p_minus:
-                op = Op.MINUS
-            else:
-                op = Op.PLUS
-            final.append(Gate(a, b, op))
+        pairs = wires.reshape(2, k)
+        if k == 1:  # two leaves; a one-element permutation draws nothing
+            self.leaves.append(wires)
+        else:
+            halves = np.sort(pairs, axis=1)
+            self.node(halves[0])
+            self.node(halves[1])
+            if self.shuffle_pairing:  # = shuffling row 0, then row 1
+                rng.permuted(pairs, axis=1, out=pairs)
+        height = k.bit_length() - 1
+        starts: Sequence[int] = self.aligned[height]
+        state = rng.bit_generator.state if self.may_waste else None
+        drawn = rng.random(3 * k)
+        if self.may_waste:
+            *starts, used = _chain(drawn.tolist(), k, self.p_gate, self.p_exchange)
+            if used < drawn.size:
+                rng.bit_generator.state = state
+                drawn = rng.random(used)
+        self.nodes[height].append(wires)
+        self.draws[height].append(drawn)
+        self.starts[height].append(starts)
 
-    build(list(range(n)))
-    del build  # it refers to itself; a kept cycle would hold the gates
-    return ReverseDeltaNetwork(leaves, levels)
+
+def _chain(u: list[float], k: int, p_gate: float, p_exchange: float) -> list[int]:
+    """Where each of ``k`` pairs starts in the draws ``u``, then where
+    the last one ends.
+
+    A pair takes one double if it is ``>= p_gate`` (no gate), two if the
+    next is ``< p_exchange`` (an exchange), and three otherwise.  Each
+    start depends on the one before, so this walks the pairs: pointer
+    doubling does it in O(log k) NumPy calls, but those cost ~20 us on
+    the one- and two-pair nodes that make up most of a tree, against
+    ~1 us for the walk.
+    """
+    chain = [0] * (k + 1)
+    at = 0
+    for pair in range(k):  # sanitize: ok[perf/scalar-loop-over-wires] - a chain; see above
+        if u[at] < p_gate:
+            at += 2 if u[at + 1] < p_exchange else 3
+        else:
+            at += 1
+        chain[pair + 1] = at
+    return chain
+
+
+def _pair_gates(
+    u: np.ndarray, starts: np.ndarray, p_gate: float, p_exchange: float,
+    p_minus: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode the draws ``u`` of pairs starting at ``starts``: which get
+    a gate, and its op code.
+
+    A pair's first double says whether it gets a gate (``< p_gate``),
+    its second whether that is an exchange (``< p_exchange``), its third
+    whether a comparator is ``-`` (``< p_minus``) or ``+``.
+    """
+    # a short pair reads past its doubles (last pair: past the end); the
+    # extra values are masked out below
+    trio = np.append(u, (1.0, 1.0))[starts[:, None] + np.arange(3, dtype=np.int64)]
+    gate = trio[:, 0] < p_gate
+    swap = gate & (trio[:, 1] < p_exchange)
+    ops = np.where(swap, _SWAP, np.where(trio[:, 2] < p_minus, _MINUS, _PLUS))
+    return gate, ops[gate]
 
 
 def random_iterated_rdn(

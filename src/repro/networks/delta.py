@@ -36,6 +36,7 @@ in one array step; ``child0``, ``child1`` and ``final`` are derived.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .._util import require_power_of_two
 from ..errors import LevelConflictError, TopologyError, WireError
-from .gates import Gate
+from .gates import OPS, Gate
 from .level import Level
 from .network import ComparatorNetwork, Stage
 from .permutations import Permutation
@@ -71,10 +72,8 @@ class ReverseDeltaNetwork:
         levels: Iterable[Level | Iterable[Gate]] = (),
     ):
         leaves = np.array(leaf_order, dtype=np.int64)
-        try:
+        with _form_conflicts():
             levels = tuple(x if isinstance(x, Level) else Level(x) for x in levels)
-        except LevelConflictError as exc:
-            raise TopologyError(f"{exc} of a reverse delta network") from None
         if leaves.size != 1 << len(levels):
             raise TopologyError(
                 f"a {len(levels)}-level reverse delta network has "
@@ -108,7 +107,11 @@ class ReverseDeltaNetwork:
         Every gate must have its first endpoint in ``child0`` and its
         second in ``child1``; at most one gate per wire.
         """
-        below = [x.gates + y.gates for x, y in zip(child0._levels, child1._levels)]
+        with _form_conflicts():
+            below = [
+                Level.from_arrays(*map(np.concatenate, zip(x.arrays, y.arrays)))
+                for x, y in zip(child0._levels, child1._levels)
+            ]
         leaves = np.concatenate((child0._leaves, child1._leaves))
         return cls(leaves, below + [final])
 
@@ -169,7 +172,7 @@ class ReverseDeltaNetwork:
         return ReverseDeltaNetwork(
             self._leaves[half:] if second else self._leaves[:half],
             [
-                [lvl.gates[i] for i in np.flatnonzero(mask).tolist()]
+                Level.from_arrays(*(arr[mask] for arr in lvl.arrays))
                 for lvl, mask in zip(below, keep)
             ],
         )
@@ -221,13 +224,15 @@ class ReverseDeltaNetwork:
     # -- convenience ----------------------------------------------------------
     def map_wires(self, mapping: Callable[[int], int]) -> "ReverseDeltaNetwork":
         """Relabel every wire through ``mapping`` (must stay injective)."""
-        return ReverseDeltaNetwork(
-            [mapping(w) for w in self._leaves.tolist()],
-            [
-                [Gate(mapping(g.a), mapping(g.b), g.op) for g in lvl]
-                for lvl in self._levels
-            ],
-        )
+        mapped = np.array([mapping(w) for w in self._leaves.tolist()], dtype=np.int64)
+        relabel = np.zeros(int(self._leaves.max()) + 1, dtype=np.int64)
+        relabel[self._leaves] = mapped
+        with _form_conflicts():
+            levels = [
+                Level.from_arrays(relabel[a], relabel[b], ops)
+                for a, b, ops in (lvl.arrays for lvl in self._levels)
+            ]
+        return ReverseDeltaNetwork(mapped, levels)
 
     def with_final(self, final: Iterable[Gate]) -> "ReverseDeltaNetwork":
         """Replace the root's final level (children unchanged)."""
@@ -236,6 +241,15 @@ class ReverseDeltaNetwork:
     def comparator_count_by_level(self) -> list[int]:
         """Comparators per flattened level (length ``levels``)."""
         return [lvl.comparator_count for lvl in self._levels]
+
+
+@contextmanager
+def _form_conflicts() -> Iterator[None]:
+    """Report a wire used twice in one level as a flaw of the form."""
+    try:
+        yield
+    except LevelConflictError as exc:
+        raise TopologyError(f"{exc} of a reverse delta network") from None
 
 
 def _check_gates(rank: np.ndarray, levels: tuple[Level, ...]) -> None:
@@ -251,7 +265,8 @@ def _check_gates(rank: np.ndarray, levels: tuple[Level, ...]) -> None:
     half_b = ranks[np.minimum(b, rank.size)] >> below
     bad = np.flatnonzero((half_a & 1 == 1) | (half_b != half_a + 1))
     if bad.size:
-        gate = [g for lvl in levels for g in lvl][bad[0]]
+        ops = np.concatenate([lvl.arrays[2] for lvl in levels])
+        gate = Gate(int(a[bad[0]]), int(b[bad[0]]), OPS[ops[bad[0]]])
         raise TopologyError(
             f"height-{below[bad[0]] + 1} gate {gate} must pair a child-0 wire "
             "(first endpoint) with a child-1 wire (second endpoint) of one node"

@@ -8,7 +8,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..errors import LevelConflictError, WireError
-from .gates import OP_CODE, Gate, Op
+from .gates import OP_CODE, OPS, Gate, Op
 
 __all__ = ["Level"]
 
@@ -25,6 +25,43 @@ def _first_repeat(ends: np.ndarray) -> int | None:
     return int(ends[repeats.min()]) if repeats.size else None
 
 
+def _checked(
+    a: np.ndarray, b: np.ndarray, ops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one validation of a level's arrays; returns them read-only.
+
+    Endpoints must be 1-D int64 arrays and op codes a 1-D integer
+    array, all of one length; every gate needs two distinct nonnegative
+    endpoints and a code indexing :data:`~repro.networks.gates.OPS`,
+    and no wire may be used twice.
+    """
+    for ends in (a, b):
+        if not isinstance(ends, np.ndarray) or ends.ndim != 1 or ends.dtype != np.int64:
+            raise WireError("level endpoints must be 1-D int64 arrays")
+    if not isinstance(ops, np.ndarray) or ops.ndim != 1 or ops.dtype.kind not in "iu":
+        raise WireError("level op codes must be a 1-D integer array")
+    if not a.size == b.size == ops.size:
+        raise WireError(
+            f"level arrays differ in length: {a.size}, {b.size}, {ops.size}"
+        )
+    bad = np.flatnonzero((a == b) | (a < 0) | (b < 0))
+    if bad.size:
+        pair = (int(a[bad[0]]), int(b[bad[0]]))
+        if pair[0] == pair[1]:
+            raise WireError(f"gate endpoints must differ, got {pair}")
+        raise WireError(f"gate endpoints must be nonnegative: {pair}")
+    unknown = np.flatnonzero((ops < 0) | (ops >= len(OPS)))
+    if unknown.size:
+        raise WireError(f"unknown gate op code {int(ops[unknown[0]])}")
+    repeat = _first_repeat(np.stack((a, b), axis=1).ravel())
+    if repeat is not None:
+        raise LevelConflictError(f"wire {repeat} is touched by two gates in one level")
+    ops = ops.astype(np.int8, copy=False)
+    for arr in (a, b, ops):
+        arr.setflags(write=False)
+    return a, b, ops
+
+
 class Level:
     """An immutable set of gates that act simultaneously on disjoint wires.
 
@@ -32,13 +69,15 @@ class Level:
     register model: every wire is touched by at most one gate, so all gates
     can fire in parallel.
 
-    Besides its gates, a level holds their array form (see :attr:`arrays`),
-    which the disjointness and range checks and evaluation run on.
+    A level *is* its array form (see :attr:`arrays`): equality, hashing,
+    the checks and evaluation all read it.  :attr:`gates` is a view,
+    built on first use.
 
     Parameters
     ----------
     gates:
         The gates of the level.  Their endpoints must be pairwise disjoint.
+        :meth:`from_arrays` makes a level from its arrays instead.
     """
 
     __slots__ = ("_gates", "_arrays", "__dict__")
@@ -58,20 +97,33 @@ class Level:
         except OverflowError:
             raise WireError("wire index out of the int64 range") from None
         ops = np.fromiter((OP_CODE[g.op] for g in gates), dtype=np.int8, count=count)
-        repeat = _first_repeat(np.stack((a, b), axis=1).ravel())
-        if repeat is not None:
-            raise LevelConflictError(
-                f"wire {repeat} is touched by two gates in one level"
-            )
-        for arr in (a, b, ops):
-            arr.setflags(write=False)
-        self._gates = gates
-        self._arrays = (a, b, ops)
+        self._arrays = _checked(a, b, ops)
+        self._gates: tuple[Gate, ...] | None = gates
+
+    @classmethod
+    def from_arrays(cls, a: np.ndarray, b: np.ndarray, ops: np.ndarray) -> "Level":
+        """The level with gates ``(a[i], b[i], OPS[ops[i]])``.
+
+        ``a`` and ``b`` are 1-D int64 arrays and ``ops`` integer codes
+        indexing :data:`~repro.networks.gates.OPS`.  The arrays are taken
+        over, not copied, and made read-only; the checks are those of
+        the gate entry, with the same exception types.
+        """
+        level = cls.__new__(cls)
+        level._arrays = _checked(a, b, ops)
+        level._gates = None
+        return level
 
     # -- protocol ----------------------------------------------------------
     @property
     def gates(self) -> tuple[Gate, ...]:
-        """The gates of the level."""
+        """The gates of the level (built from the arrays on first use)."""
+        if self._gates is None:
+            a, b, ops = self._arrays
+            self._gates = tuple(
+                Gate(x, y, OPS[c])
+                for x, y, c in zip(a.tolist(), b.tolist(), ops.tolist())
+            )
         return self._gates
 
     @property
@@ -81,21 +133,23 @@ class Level:
         return self._arrays
 
     def __iter__(self) -> Iterator[Gate]:
-        return iter(self._gates)
+        return iter(self.gates)
 
     def __len__(self) -> int:
-        return len(self._gates)
+        return self._arrays[0].size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Level):
             return NotImplemented
-        return self._gates == other._gates
+        return all(
+            np.array_equal(x, y) for x, y in zip(self._arrays, other._arrays)
+        )
 
     def __hash__(self) -> int:
-        return hash(self._gates)
+        return hash(tuple(arr.tobytes() for arr in self._arrays))
 
     def __repr__(self) -> str:
-        return f"Level([{', '.join(str(g) for g in self._gates)}])"
+        return f"Level([{', '.join(str(g) for g in self.gates)}])"
 
     # -- derived data --------------------------------------------------------
     @cached_property
@@ -126,10 +180,9 @@ class Level:
 
     def gate_on(self, wire: int) -> Gate | None:
         """The gate touching ``wire``, if any."""
-        for g in self._gates:
-            if wire in g.wires:
-                return g
-        return None
+        a, b, _ = self._arrays
+        hit = np.flatnonzero((a == wire) | (b == wire))
+        return self.gates[hit[0]] if hit.size else None
 
     # -- vectorised index arrays (cached; used by network evaluation) -------
     @cached_property
@@ -175,6 +228,17 @@ class Level:
             values[..., sa] = values[..., sb]
             values[..., sb] = va
 
+    def reoriented(self, flip: np.ndarray) -> "Level":
+        """The level with the gates where ``flip`` is true turned around:
+        endpoints swapped and ``+``/``-`` exchanged (equal behaviour)."""
+        a, b, ops = self._arrays
+        # the comparator codes are 0 and 1 (``OPS`` order), so ``^ 1`` swaps them
+        turned = np.where(flip & (ops <= _MINUS), ops ^ 1, ops).astype(np.int8)
+        return Level.from_arrays(np.where(flip, b, a), np.where(flip, a, b), turned)
+
     def normalized(self) -> "Level":
         """The level with each gate normalised to ``a < b`` and gates sorted."""
-        return Level(sorted((g.normalized() for g in self._gates), key=lambda g: g.a))
+        a, b, _ = self._arrays
+        turned = self.reoriented(a > b)
+        order = np.argsort(turned.arrays[0], kind="stable")
+        return Level.from_arrays(*(arr[order] for arr in turned.arrays))

@@ -20,6 +20,7 @@ network is simply position ``j`` after the last stage.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -316,22 +317,30 @@ class ComparatorNetwork:
         permutation, which is appended as an explicit last stage so the
         input/output function is preserved exactly.
         """
-        cur = None  # composition of permutations applied so far
-        out_stages: list[Stage] = []
-        for stage in self._stages:
-            if stage.perm is not None:
-                cur = stage.perm if cur is None else cur.then(stage.perm)
-            if cur is None:
-                out_stages.append(Stage(level=stage.level))
-            else:
-                inv = cur.inverse()
-                gates = [
-                    Gate(inv(g.a), inv(g.b), g.op) for g in stage.level
-                ]
-                out_stages.append(Stage(level=Level(gates)))
-        net = ComparatorNetwork(self._n, out_stages)
+        # the composition of the stage permutations so far, per stage
+        so_far = list(itertools.accumulate((s.perm for s in self._stages), _then))
+        stages = [
+            Stage(level=_relabelled(stage.level, cur))
+            for stage, cur in zip(self._stages, so_far)
+        ]
+        cur = so_far[-1] if so_far else None
         if cur is not None and not cur.is_identity:
-            net = ComparatorNetwork(
-                self._n, list(net.stages) + [Stage(level=Level(()), perm=cur)]
-            )
-        return net
+            stages.append(Stage(level=Level(()), perm=cur))
+        return ComparatorNetwork(self._n, stages)
+
+
+def _then(cur: Permutation | None, perm: Permutation | None) -> Permutation | None:
+    """``cur`` followed by ``perm``; ``None`` is the identity."""
+    if perm is None:
+        return cur
+    return perm if cur is None else cur.then(perm)
+
+
+def _relabelled(level: Level, cur: Permutation | None) -> Level:
+    """``level`` with each endpoint ``p`` replaced by its preimage under
+    ``cur``: one gather through the inverse permutation."""
+    if cur is None:
+        return level
+    preimage = cur.inverse().mapping
+    a, b, ops = level.arrays
+    return Level.from_arrays(preimage[a], preimage[b], ops)

@@ -15,16 +15,14 @@ from typing import Any
 import numpy as np
 
 from ..errors import ReproError, WireError
-from .delta import IteratedReverseDeltaNetwork, ReverseDeltaNetwork
-from .gates import Gate, Op
+from .delta import IteratedReverseDeltaNetwork, ReverseDeltaNetwork, _form_conflicts
+from .gates import OP_CODE, OPS, Op
 from .level import Level
 from .network import ComparatorNetwork, Stage
 from .permutations import Permutation
 from .registers import RegisterProgram, RegisterStep
 
 __all__ = [
-    "gate_to_json",
-    "gate_from_json",
     "network_to_json",
     "network_from_json",
     "rdn_to_json",
@@ -42,27 +40,55 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def gate_to_json(g: Gate) -> list[Any]:
-    """Serialise one gate as the ``[a, b, op]`` triple."""
-    return [g.a, g.b, g.op.value]
+#: ``[a, b, op]`` op labels by op code, and back.
+_OP_LABELS = [op.value for op in OPS]
+_OP_CODES = {op.value: code for op, code in OP_CODE.items()}
 
 
-def gate_from_json(item: list[Any]) -> Gate:
-    """Deserialise one ``[a, b, op]`` triple."""
-    a, b, op = item
-    return Gate(int(a), int(b), Op.from_str(op))
+def _level_to_json(level: Level) -> list[list[Any]]:
+    """A level's gates as ``[a, b, op]`` triples, in gate order."""
+    a, b, ops = level.arrays
+    labels = map(_OP_LABELS.__getitem__, ops.tolist())
+    return [list(gate) for gate in zip(a.tolist(), b.tolist(), labels)]
 
 
-# backwards-compatible private aliases
-_gate_to_json = gate_to_json
-_gate_from_json = gate_from_json
+def _level_from_json(items: Any) -> Level:
+    """A level from its ``[a, b, op]`` triples, one column at a time.
+
+    It refuses what reading it a gate at a time refuses, with the same
+    exception types: a short or long triple (``ValueError``), an
+    endpoint ``int()`` refuses, an unknown op (:meth:`Op.from_str`), a
+    bad or repeated endpoint (:class:`Level`).
+    """
+    items = list(items)
+    if not items:
+        return Level()
+    columns = list(zip(*items))
+    if len(columns) != 3 or sum(map(len, items)) != 3 * len(items):
+        a, b, op = next(item for item in items if len(item) != 3)  # ValueError
+    ends = [list(map(int, column)) for column in columns[:2]]
+    try:
+        a, b = (np.array(column, dtype=np.int64) for column in ends)
+    except OverflowError:
+        raise WireError("wire index out of the int64 range") from None
+    ops = np.fromiter(map(_op_code, columns[2]), dtype=np.int8, count=len(items))
+    return Level.from_arrays(a, b, ops)
+
+
+def _op_code(label: Any) -> int:
+    """The op code of one ``[a, b, op]`` label (:meth:`Op.from_str`
+    refuses anything that is not one)."""
+    try:
+        return _OP_CODES[label]
+    except (KeyError, TypeError):
+        return OP_CODE[Op.from_str(label)]
 
 
 def network_to_json(net: ComparatorNetwork) -> dict[str, Any]:
     """Serialise a :class:`ComparatorNetwork`."""
     stages = []
     for s in net.stages:
-        entry: dict[str, Any] = {"gates": [_gate_to_json(g) for g in s.level]}
+        entry: dict[str, Any] = {"gates": _level_to_json(s.level)}
         if s.perm is not None:
             entry["perm"] = [int(x) for x in s.perm.mapping]
         stages.append(entry)
@@ -75,7 +101,7 @@ def network_from_json(doc: dict[str, Any]) -> ComparatorNetwork:
         raise WireError(f"expected kind 'network', got {doc.get('kind')!r}")
     stages = []
     for entry in doc["stages"]:
-        level = Level(_gate_from_json(g) for g in entry["gates"])
+        level = _level_from_json(entry["gates"])
         perm = Permutation(entry["perm"]) if "perm" in entry else None
         stages.append(Stage(level=level, perm=perm))
     return ComparatorNetwork(int(doc["n"]), stages)
@@ -97,12 +123,13 @@ def rdn_to_json(rdn: ReverseDeltaNetwork) -> dict[str, Any]:
         owner = rank[a] >> height
         order = np.argsort(owner, kind="stable")
         bounds = np.cumsum(np.bincount(owner, minlength=len(docs) // 2))[:-1]
+        gates = _level_to_json(level)
         docs = [
             {
                 "kind": "rdn",
                 "child0": docs[2 * q],
                 "child1": docs[2 * q + 1],
-                "final": [_gate_to_json(level.gates[i]) for i in node.tolist()],
+                "final": [gates[i] for i in node.tolist()],
             }
             for q, node in enumerate(np.split(order, bounds))
         ]
@@ -111,19 +138,22 @@ def rdn_to_json(rdn: ReverseDeltaNetwork) -> dict[str, Any]:
 
 def rdn_from_json(doc: dict[str, Any]) -> ReverseDeltaNetwork:
     """Deserialise a :class:`ReverseDeltaNetwork` tree."""
-    return ReverseDeltaNetwork(*_rdn_form(doc))
+    leaves, finals = _rdn_form(doc)
+    with _form_conflicts():
+        levels = [_level_from_json(items) for items in finals]
+    return ReverseDeltaNetwork(leaves, levels)
 
 
-def _rdn_form(doc: dict[str, Any]) -> tuple[list[int], list[list[Gate]]]:
-    """A tree document's leaf order and per-height gates."""
+def _rdn_form(doc: dict[str, Any]) -> tuple[list[int], list[list[Any]]]:
+    """A tree document's leaf order and per-height ``[a, b, op]`` items."""
     if doc.get("kind") != "rdn":
         raise WireError(f"expected kind 'rdn', got {doc.get('kind')!r}")
     if "wire" in doc:
         return [int(doc["wire"])], []
-    leaves0, levels0 = _rdn_form(doc["child0"])
-    leaves1, levels1 = _rdn_form(doc["child1"])
-    below = [gates0 + gates1 for gates0, gates1 in zip(levels0, levels1)]
-    return leaves0 + leaves1, below + [[_gate_from_json(g) for g in doc["final"]]]
+    leaves0, items0 = _rdn_form(doc["child0"])
+    leaves1, items1 = _rdn_form(doc["child1"])
+    below = [x + y for x, y in zip(items0, items1)]
+    return leaves0 + leaves1, below + [list(doc["final"])]
 
 
 def iterated_to_json(it: IteratedReverseDeltaNetwork) -> dict[str, Any]:

@@ -5,9 +5,11 @@ These are :func:`repro.networks.builders.rdn_from_bit_order` and
 :class:`~repro.networks.delta.ReverseDeltaNetwork` stored its Definition
 3.4 tree: one :meth:`~repro.networks.delta.ReverseDeltaNetwork.leaf` per
 wire and one :meth:`~repro.networks.delta.ReverseDeltaNetwork.node` per
-internal node, built by the recursion itself.  The builders now emit the
-leaf order and per-height levels in one pass; ``test_rdn_form.py``
-checks they give the same network and leave the generator in the same
+internal node, built by the recursion itself, with a
+:class:`~repro.networks.gates.Gate` and scalar draws per pair.  The
+builders now fill the leaf order and per-height level arrays directly
+(one bulk draw per node); ``test_rdn_form.py`` checks they give the same
+network, make the same chooser calls and leave the generator in the same
 state.  Nothing in ``src/`` imports this module.
 """
 

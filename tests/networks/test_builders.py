@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import TopologyError, WireError
 from repro.networks.builders import (
     bitonic_iterated_rdn,
     bitonic_phase_rdn,
@@ -62,6 +62,12 @@ class TestBitOrderBuilder:
         assert heights == [1, 2]
         bits = sorted(set(b for _, b, _ in seen))
         assert bits == [0, 1]
+
+    def test_chooser_may_return_labels_but_not_junk(self):
+        labelled = butterfly_rdn(4, lambda height, bit, low: "-")
+        assert labelled.to_network() == butterfly_rdn(4, Op.MINUS).to_network()
+        with pytest.raises(WireError, match="unknown gate op 'x'"):
+            butterfly_rdn(4, lambda height, bit, low: Op.PLUS if bit else "x")
 
     def test_empty_rdn(self):
         e = empty_rdn(8)

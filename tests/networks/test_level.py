@@ -167,3 +167,80 @@ class TestArrayForm:
 
         with pytest.raises(WireError, match=rf"^wire index {wire} out of range \[0, 4\)$"):
             ComparatorNetwork(4, [Level(gates)])
+
+
+def _from_gates(a, b, ops):
+    return Level([Gate(x, y, OPS[c] if c < len(OPS) else "x")
+                  for x, y, c in zip(a, b, ops)])
+
+
+def _from_arrays(a, b, ops):
+    """Arrays of NumPy's own dtype for the values (int64, or uint64 past
+    the int64 range)."""
+    a, b = (np.array(x) if x else np.zeros(0, dtype=np.int64) for x in (a, b))
+    return Level.from_arrays(a, b, np.array(ops, dtype=np.int8))
+
+
+class TestEntryParity:
+    """``Level(gates)`` and ``Level.from_arrays`` make the same level and
+    refuse the same inputs: both run one validation of the arrays."""
+
+    @pytest.mark.parametrize(
+        "a, b, ops",
+        [
+            ([], [], []),
+            ([0], [1], [0]),
+            ([5, 2, 7, 0], [4, 3, 6, 1], [0, 1, 2, 3]),
+            ([9, 1], [2, 40], [1, 1]),
+        ],
+    )
+    def test_entries_agree(self, a, b, ops):
+        by_gates, by_arrays = _from_gates(a, b, ops), _from_arrays(a, b, ops)
+        for x, y in zip(by_gates.arrays, by_arrays.arrays):
+            assert x.dtype == y.dtype and x.tolist() == y.tolist()
+        assert len(by_gates) == len(by_arrays) == len(a)
+        assert by_gates == by_arrays and hash(by_gates) == hash(by_arrays)
+        assert by_gates.gates == by_arrays.gates
+
+    def test_gates_view_is_built_once_and_kept(self):
+        level = _from_arrays([0, 2], [1, 3], [0, 3])
+        assert level.gates is level.gates
+        assert level.gates == (comparator(0, 1), exchange(2, 3))
+        given = (comparator(0, 1),)
+        assert Level(given).gates is given
+
+    @pytest.mark.parametrize(
+        "a, b, ops, error",
+        [
+            pytest.param([3], [3], [0], WireError, id="equal-endpoints"),
+            pytest.param([-1], [2], [0], WireError, id="negative-endpoint"),
+            pytest.param([0, 1], [1, 2], [0, 0], LevelConflictError, id="wire-twice"),
+            pytest.param([0], [1], [len(OPS)], WireError, id="unknown-op"),
+            pytest.param([0], [2**63], [0], WireError, id="beyond-int64"),
+        ],
+    )
+    def test_entries_refuse_alike(self, a, b, ops, error):
+        with pytest.raises(error):
+            _from_gates(a, b, ops)
+        with pytest.raises(error):
+            _from_arrays(a, b, ops)
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            pytest.param(([0], [1], [0, 0]), id="lengths-differ"),
+            pytest.param(([[0]], [[1]], [0]), id="two-dimensional"),
+            pytest.param(([0.0], [1.0], [0]), id="float-endpoints"),
+        ],
+    )
+    def test_array_entry_checks_its_arrays(self, arrays):
+        a, b, ops = (np.array(x) for x in arrays)
+        with pytest.raises(WireError):
+            Level.from_arrays(a, b, ops)
+
+    def test_reoriented_and_normalized(self):
+        level = _from_arrays([5, 0, 2], [1, 4, 3], [0, 1, 3])
+        turned = level.reoriented(np.array([True, False, True]))
+        assert turned.gates == (Gate(1, 5, Op.MINUS), Gate(0, 4, Op.MINUS),
+                                Gate(3, 2, Op.SWAP))
+        assert [g.wires for g in level.normalized()] == [(0, 4), (1, 5), (2, 3)]

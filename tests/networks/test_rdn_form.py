@@ -5,7 +5,8 @@ level per height, validated once by array tests.  These tests pin the
 cases the constructor refuses, compare the one-pass builders with the
 node-composing recursions they replaced (``builders_reference.py``), and
 check that no producer leaves a reference cycle behind that keeps a
-dropped network's gates alive until the next full collection.
+dropped network's level arrays, or the gates read from them, alive until
+the next full collection.
 """
 
 from __future__ import annotations
@@ -212,8 +213,9 @@ PRODUCERS = {
 @pytest.mark.parametrize("name", sorted(PRODUCERS))
 def test_dropped_network_frees_its_gates_without_gc(name):
     """With the cycle collector off, reference counting alone must free
-    a dropped network's gates: no producer, and no read of the form or
-    the derived tree, may leave a reference cycle that holds them."""
+    a dropped network's storage (a level's endpoint array) and the gates
+    read from it: no producer, and no read of the form or the derived
+    tree, may leave a reference cycle that holds them."""
     gc.collect()
     gc.disable()
     try:
@@ -222,9 +224,11 @@ def test_dropped_network_frees_its_gates_without_gc(name):
         rdn.to_network()
         serialize.dumps(rdn)
         sum(1 for _ in rdn.child0.nodes())
-        gate = next(g for level in rdn.levels_flat() for g in level)
-        ref = weakref.ref(gate)
-        del gate, rdn, net
-        assert ref() is None, f"{name}: a gate outlived its network"
+        level = next(level for level in rdn.levels_flat() if len(level))
+        gate_ref = weakref.ref(next(iter(level)))
+        ends_ref = weakref.ref(level.arrays[0])
+        del level, rdn, net
+        assert gate_ref() is None, f"{name}: a gate outlived its network"
+        assert ends_ref() is None, f"{name}: a level array outlived its network"
     finally:
         gc.enable()

@@ -21,10 +21,27 @@ from tests.perf.conftest import SRC
 BASELINE = Path(__file__).resolve().parents[2] / "analyzer-baseline.json"
 
 
+def _fingerprint(diag) -> tuple[str, str, str]:
+    """A finding's baseline identity: rule, anchored path, stripped line."""
+    lines = Path(diag.location.path).read_text().splitlines()
+    return Baseline.fingerprint(diag, lines[diag.location.line - 1].strip())
+
+
 @pytest.fixture(scope="module")
-def report():
+def shipped():
+    return Baseline.load(BASELINE)
+
+
+@pytest.fixture(scope="module")
+def report(shipped):
     """``src/`` under the shipped ratchet, analysed once for the module."""
-    return analyze_paths([SRC], baseline=Baseline.load(BASELINE))
+    return analyze_paths([SRC], baseline=shipped)
+
+
+@pytest.fixture(scope="module")
+def raw():
+    """``src/`` with pragmas but no ratchet: what the ratchet may match."""
+    return analyze_paths([SRC])
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +56,12 @@ class TestSelfClean:
         assert report.exit_code == 0
         # grandfathered, not hidden: the report says what it waived
         assert report.suppressed > 0
+
+    def test_every_baseline_entry_matches_a_finding(self, raw, shipped):
+        """A waiver whose finding is gone (fixed or rewritten) must leave
+        the ratchet, not linger: every entry matches a raw finding."""
+        found = {_fingerprint(d) for d in raw.diagnostics}
+        assert sorted(shipped.entries - found) == []
 
     def test_analysis_actually_covered_the_tree(self, report):
         """Guard against the gate passing vacuously."""
