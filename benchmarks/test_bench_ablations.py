@@ -35,7 +35,7 @@ def _ablation_shift_strategies(n: int = 1024, k: int = 5, seed: int = 0) -> Tabl
     for strategy in ("argmin", "random", "worst"):
         res = run_lemma41(
             block, p, k, shift_strategy=strategy,
-            rng=np.random.default_rng(seed), check_guarantee=False,
+            rng=np.random.default_rng(seed),
         )
         table.add_row(
             strategy=strategy,

@@ -92,9 +92,11 @@ def reconstruct_reverse_delta(
     network is not an ``l``-level reverse delta network.
 
     Sparse networks can admit many balanced bipartitions per level, only
-    some of which work recursively; the search backtracks across them,
-    bounded by ``max_attempts`` total split trials (dense networks such
-    as the butterfly have essentially unique splits and never backtrack).
+    some of which work recursively; the search backtracks across them.
+    A search that never backtracks tries one split at each of the
+    ``n - 1`` tree nodes; ``max_attempts`` bounds the split trials beyond
+    those (dense networks such as the butterfly have essentially unique
+    splits and never backtrack).
     """
     n = network.n
     if not network.is_pure_circuit():
@@ -142,7 +144,8 @@ class _Search:
             _union_roots(parent, self.a[lo:hi].tolist(), self.b[lo:hi].tolist())
             for lo, hi in zip(self.starts[:-2], self.starts[1:-1])
         ]
-        self.budget = max_attempts
+        #: split trials left: one per tree node, plus ``max_attempts``
+        self.budget = max_attempts + n - 1
         self.scratch = np.zeros(n, dtype=np.int64)
         self.leaves: list[int] = []
         #: ``(level, final gate ids)`` of every decided node, depth first.

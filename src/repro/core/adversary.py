@@ -16,7 +16,7 @@ The proof is by induction on the recursive structure of
 Definition 3.4, and -- crucially for this library -- it is *algorithmic*:
 this module runs the induction on a concrete
 :class:`~repro.networks.delta.ReverseDeltaNetwork`, producing the refined
-pattern, the sets, the symbolic output state, and a per-level trace.
+pattern, the sets, the symbolic output state, and a per-node trace.
 
 Algorithmic skeleton (matching the proof text), per tree node:
 
@@ -52,17 +52,21 @@ that keep the paper's order::
 (``j < n - 1`` is a node's post-order number, so ``X(i, .) < M(i) <
 X(i+1, .)``).  A band shift by ``s`` adds ``s*n`` to a code.  The fresh
 second index ``j0`` of a node is its post-order number, as in the
-recursion, and ``trace.nodes`` is reported in post-order.  The built-in
+recursion, and the trace is reported in post-order.  The built-in
 ``"random"`` strategy takes its per-node draws in post-order too, so
 its results match the recursion's draw for draw; a custom
 :data:`ShiftStrategy` is called once per node in height order.
+
+The sweep's arrays are the result: symbols and node records are built
+only when a caller reads ``pattern``, ``state`` or ``trace.nodes``.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -140,62 +144,95 @@ class NodeRecord:
     elements_after: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Lemma41Trace:
-    """Per-node and per-level statistics of one Lemma 4.1 run."""
+    """Per-node statistics of one Lemma 4.1 run.
 
-    nodes: list[NodeRecord] = field(default_factory=list)
+    One read-only int64 array per :class:`NodeRecord` field, with one
+    entry per internal tree node in post-order.
+    """
+
+    height: np.ndarray
+    collisions: np.ndarray
+    chosen_shift: np.ndarray
+    demoted: np.ndarray
+    elements_after: np.ndarray
+
+    @cached_property
+    def nodes(self) -> list[NodeRecord]:
+        """One record per node in post-order (built on first use)."""
+        columns = (getattr(self, column.name).tolist() for column in fields(self))
+        return list(map(NodeRecord, *columns))
 
     def demoted_by_height(self) -> dict[int, int]:
         """Total elements lost (demoted) per tree height."""
-        out: dict[int, int] = defaultdict(int)
-        for rec in self.nodes:
-            out[rec.height] += rec.demoted
-        return dict(out)
+        heights, inverse = np.unique(self.height, return_inverse=True)
+        totals = np.zeros(heights.size, dtype=np.int64)
+        np.add.at(totals, inverse, self.demoted)
+        return dict(zip(heights.tolist(), totals.tolist()))
 
     @property
     def total_demoted(self) -> int:
         """Elements lost to demotion across the whole run."""
-        return sum(rec.demoted for rec in self.nodes)
+        return int(self.demoted.sum())
 
     @property
     def total_collisions(self) -> int:
         """Token-token comparator meetings observed across all nodes."""
-        return sum(rec.collisions for rec in self.nodes)
+        return int(self.collisions.sum())
 
 
-@dataclass
+@dataclass(eq=False)
 class Lemma41Result:
     """Everything Lemma 4.1 promises, computed for a concrete network.
 
     Attributes
     ----------
-    pattern:
+    refined_codes:
         The refined pattern ``q`` (an ``A``-refinement of the input
-        pattern) on the block's input wires.
+        pattern) as one symbol code per input wire.
+    output_codes, tokens:
+        Per *output* position under ``q``: the symbol code, and the
+        input wire whose token sits there (``-1`` for none).
     sets:
         Sparse map ``i -> M_i`` (only nonempty sets are present).
     t:
         The nominal set count ``t(l)``; every key of ``sets`` is ``< t``.
-    state:
-        Symbols per *output* position under ``q`` and the token map
-        ``position -> input wire`` for every special-set element.
     a_size, b_size:
         ``|A|`` and ``|B|``; Property 4 says
         ``b_size >= a_size - l * a_size / k**2``.
     trace:
         Per-node statistics.
+
+    The three arrays are read-only; :attr:`pattern` and :attr:`state`
+    decode them into symbols on first use.
     """
 
-    pattern: Pattern
+    refined_codes: np.ndarray
+    output_codes: np.ndarray
+    tokens: np.ndarray
     sets: dict[int, frozenset[int]]
     t: int
     k: int
     levels: int
-    state: SymbolicState
     a_size: int
     b_size: int
     trace: Lemma41Trace
+
+    @cached_property
+    def pattern(self) -> Pattern:
+        """The refined pattern ``q`` on the block's input wires."""
+        return Pattern(_decode(self.refined_codes, self.refined_codes.size))
+
+    @cached_property
+    def state(self) -> SymbolicState:
+        """Symbols per output position under ``q`` and the token map
+        ``position -> input wire`` for every special-set element."""
+        held = np.flatnonzero(self.tokens >= 0)
+        return SymbolicState(
+            symbols=_decode(self.output_codes, self.output_codes.size),
+            origin=dict(zip(held.tolist(), self.tokens[held].tolist())),
+        )
 
     @property
     def retained_fraction(self) -> float:
@@ -229,7 +266,6 @@ def run_lemma41(
     *,
     shift_strategy: str | ShiftStrategy = "argmin",
     rng: np.random.Generator | None = None,
-    check_guarantee: bool = True,
 ) -> Lemma41Result:
     """Run the Lemma 4.1 adversary on one reverse delta network.
 
@@ -252,12 +288,11 @@ def run_lemma41(
         omitted rng on a stochastic path raises
         :class:`~repro.errors.PatternError` rather than silently
         pinning every caller to one default stream.
-    check_guarantee:
-        Assert Property 4 when the strategy is ``"argmin"``.
 
     Returns
     -------
     Lemma41Result
+        Property 4 is asserted when the strategy is ``"argmin"``.
     """
     if k < 1:
         raise PatternError(f"k must be positive, got {k}")
@@ -283,8 +318,8 @@ def run_lemma41(
         sweep.run()
         result = sweep.result()
         if tracer.enabled:
-            sweep.emit_events(tracer)
-    if check_guarantee and strategy is _shift_argmin:
+            sweep.emit_events(tracer, result)
+    if strategy is _shift_argmin:
         if result.b_size < result.guarantee - 1e-9:
             raise GuaranteeError(
                 f"Lemma 4.1 guarantee violated: |B|={result.b_size} < "
@@ -320,6 +355,21 @@ def _symbol(code: int, n: int) -> Symbol:
     return M(i) if j == n - 1 else X(i, j)
 
 
+def _sml_codes(pattern: Pattern) -> np.ndarray:
+    """The codes of an ``S0``/``M0``/``L0`` pattern, one per wire."""
+    n = pattern.n
+    codes = {S(0): 0, M(0): n, L(0): _LARGE}
+    return np.fromiter(
+        map(codes.__getitem__, pattern.symbols), dtype=np.int64, count=n
+    )
+
+
+def _rho(codes: np.ndarray, pivot: int, n: int) -> np.ndarray:
+    """Lemma 3.4's :math:`\\rho_i` on codes, ``pivot`` the code of ``M(i)``:
+    the pivot becomes ``M0``, lower codes ``S0`` and higher codes ``L0``."""
+    return np.where(codes == pivot, n, np.where(codes < pivot, 0, _LARGE))
+
+
 def _decode(codes: np.ndarray, n: int) -> list[Symbol]:
     """The symbols of a code array (one lookup per distinct code)."""
     distinct, inverse = np.unique(codes, return_inverse=True)
@@ -345,8 +395,9 @@ class _HeightSweep:
 
     ``assign`` holds the refined input pattern per wire, ``sym`` the
     symbol at each position and ``tok`` the input wire whose token sits
-    at each position (``-1`` for none), all as int64 arrays; the node
-    tables hold one entry per internal node, indexed by post-order number.
+    at each position (``-1`` for none), all as int64 arrays; ``columns``
+    holds the :class:`Lemma41Trace` columns, one row each, with one entry
+    per internal node, indexed by post-order number.
     """
 
     def __init__(self, rdn, pattern, k, strategy, rng, traced=False):
@@ -361,21 +412,14 @@ class _HeightSweep:
             )
         self.rdn, self.rank = rdn, rdn.rank
         self.strategy, self.rng = strategy, rng
-        codes = {S(0): 0, M(0): n, L(0): _LARGE}
-        self.assign = np.fromiter(
-            map(codes.__getitem__, pattern.symbols), dtype=np.int64, count=n
-        )
+        self.assign = _sml_codes(pattern)
         self.a_size = int(np.count_nonzero(self.assign == n))
         self.sym = self.assign.copy()
         self.tok = np.where(
             self.sym == n, np.arange(n, dtype=np.int64), np.int64(-1)
         )
         nodes = max(n - 1, 0)
-        self.height = np.zeros(nodes, dtype=np.int64)
-        self.collisions = np.zeros(nodes, dtype=np.int64)
-        self.shift = np.zeros(nodes, dtype=np.int64)
-        self.demoted = np.zeros(nodes, dtype=np.int64)
-        self.after = np.zeros(nodes, dtype=np.int64)
+        self.columns = np.zeros((len(fields(Lemma41Trace)), nodes), dtype=np.int64)
         #: traced runs only: how many collision sets C_ij each node has
         #: of each size, keyed by (node post-order number, size)
         self.traced = traced
@@ -445,11 +489,12 @@ class _HeightSweep:
         tok[fa], tok[fb] = tok[fb], tok[fa]
 
         mediums = rank[np.flatnonzero(_medium(self.assign, n))] >> h
-        self.height[post] = h
-        self.collisions[post] = collisions
-        self.shift[post] = i0
-        self.demoted[post] = np.bincount(owner, minlength=count)
-        self.after[post] = np.bincount(mediums, minlength=count)
+        height, collided, shift, demoted, after = self.columns
+        height[post] = h
+        collided[post] = collisions
+        shift[post] = i0
+        demoted[post] = np.bincount(owner, minlength=count)
+        after[post] = np.bincount(mediums, minlength=count)
 
     def tally(self, node: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
         """Count one height's collision sets into :attr:`set_sizes`;
@@ -489,7 +534,7 @@ class _HeightSweep:
         return i0
 
     def result(self) -> Lemma41Result:
-        """The run's outcome in the Lemma 4.1 vocabulary."""
+        """The run's outcome; its arrays are the sweep's, made read-only."""
         n, k, levels = self.n, self.k, self.levels
         wires = np.flatnonzero(_medium(self.assign, n))
         index = self.assign[wires] // n - 1
@@ -502,51 +547,33 @@ class _HeightSweep:
         }
         t = t_sets(levels, k)
         assert all(0 <= i < t for i in sets), "set index outside t(l)"
-        held = np.flatnonzero(self.tok >= 0)
-        trace = Lemma41Trace(
-            nodes=list(
-                map(
-                    NodeRecord,
-                    self.height.tolist(),
-                    self.collisions.tolist(),
-                    self.shift.tolist(),
-                    self.demoted.tolist(),
-                    self.after.tolist(),
-                )
-            )
-        )
+        for table in (self.assign, self.sym, self.tok, self.columns):
+            table.setflags(write=False)
         return Lemma41Result(
-            pattern=Pattern(_decode(self.assign, n)),
+            self.assign,
+            self.sym,
+            self.tok,
             sets=sets,
             t=t,
             k=k,
             levels=levels,
-            state=SymbolicState(
-                symbols=_decode(self.sym, n),
-                origin=dict(zip(held.tolist(), self.tok[held].tolist())),
-            ),
             a_size=self.a_size,
             b_size=len(wires),
-            trace=trace,
+            trace=Lemma41Trace(*self.columns),
         )
 
-    def emit_events(self, tracer) -> None:
+    def emit_events(self, tracer, result: Lemma41Result) -> None:
         """One ``EV_NODE`` event per node in post-order, then the summary."""
-        n = self.n
+        trace = result.trace
         by_node = {
             q: {str(size): number for (_, size), number in group}
             for q, group in itertools.groupby(
                 sorted(self.set_sizes.items()), key=lambda row: row[0][0]
             )
         }
-        histograms = [by_node.get(q, {}) for q in range(len(self.height))]
+        histograms = [by_node.get(q, {}) for q in range(trace.height.size)]
         for height, collisions, shift, demoted, after, histogram in zip(
-            self.height.tolist(),
-            self.collisions.tolist(),
-            self.shift.tolist(),
-            self.demoted.tolist(),
-            self.after.tolist(),
-            histograms,
+            *self.columns.tolist(), histograms
         ):
             tracer.event(
                 obs_events.EV_NODE,
@@ -559,16 +586,15 @@ class _HeightSweep:
                 demoted=demoted,
                 elements_after=after,
             )
-        mediums = _medium(self.assign, n)
         tracer.event(
             obs_events.EV_SUMMARY,
-            levels=self.levels,
-            k=self.k,
-            a_size=self.a_size,
-            b_size=int(np.count_nonzero(mediums)),
-            sets=len(np.unique(self.assign[mediums])),
-            collisions=int(self.collisions.sum()),
-            demoted=int(self.demoted.sum()),
-            demote_steps=int(np.count_nonzero(self.demoted)),
-            shift_steps=int(np.count_nonzero(self.shift)),
+            levels=result.levels,
+            k=result.k,
+            a_size=result.a_size,
+            b_size=result.b_size,
+            sets=len(result.sets),
+            collisions=trace.total_collisions,
+            demoted=trace.total_demoted,
+            demote_steps=int(np.count_nonzero(trace.demoted)),
+            shift_steps=int(np.count_nonzero(trace.chosen_shift)),
         )

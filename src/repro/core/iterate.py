@@ -21,6 +21,10 @@ The constructive loop implemented here, per block:
    pattern back to three symbols with the survivors as the new
    :math:`[\\mathcal{M}_0]`-set.
 
+It runs on Lemma 4.1's int64 symbol codes (see
+:mod:`repro.core.adversary`): steps 1, 4 and 5 are array steps, and the
+final pattern and cut are decoded once, when the loop ends.
+
 The loop records, per block, the measured survivor size next to the
 proof's guarantee -- the E3 experiment is literally this trace.
 """
@@ -38,8 +42,7 @@ from ..networks.delta import IteratedReverseDeltaNetwork
 from ..obs import events as obs_events
 from ..obs.registry import get_registry
 from ..obs.trace import get_tracer
-from .adversary import run_lemma41
-from .alphabet import M, Symbol, rename_against_pivot
+from .adversary import _decode, _rho, _sml_codes, run_lemma41
 from .pattern import Pattern, all_medium_pattern
 from .propagate import SymbolicState
 
@@ -210,13 +213,14 @@ def run_adversary(
         raise PatternError(f"initial pattern has {pattern.n} wires, network {n}")
     pattern.validate_sml()
 
-    # Cut state: symbols per position at the current depth and, for medium
-    # tokens, the network-input wire each one originated from.
-    cut = SymbolicState(
-        symbols=list(pattern.symbols),
-        origin={w: w for w in pattern.m_set(0)},
-    )
-    run = AdversaryRun(n=n, k=k, pattern=pattern, special_set=pattern.m_set(0))
+    # The input pattern per network wire, and the cut: the symbol at each
+    # position at the current depth and the network-input wire of the
+    # medium token there (-1 for none).  Every M0 of the cut has a token.
+    inp = _sml_codes(pattern)
+    cut = inp.copy()
+    origin = np.where(inp == n, np.arange(n, dtype=np.int64), np.int64(-1))
+    run = AdversaryRun(n=n, k=k, pattern=pattern, special_set=frozenset())
+    dead = False
 
     tracer = get_tracer()
     with tracer.span(
@@ -225,121 +229,84 @@ def run_adversary(
         for bi, (perm, rdn) in enumerate(network.blocks):
             with tracer.span(obs_events.SPAN_BLOCK, block=bi) as block_span:
                 if perm is not None:
-                    cut.apply_permutation(perm.mapping)
-                entering = len(cut.origin)
-                block_pattern = cut.to_pattern()
+                    moved = np.empty((2, n), dtype=np.int64)
+                    moved[:, perm.mapping] = cut, origin
+                    cut, origin = moved
+                held = np.flatnonzero(origin >= 0)
                 result = run_lemma41(
                     rdn,
-                    block_pattern,
+                    Pattern(_decode(cut, n)),
                     k,
                     shift_strategy=shift_strategy,
                     rng=rng,
                 )
-                if not result.sets:
-                    # Every special element was demoted; the adversary is dead.
-                    run.records.append(
-                        BlockRecord(
-                            block_index=bi,
-                            entering_size=entering,
-                            union_size=0,
-                            nonempty_sets=0,
-                            chosen_index=0,
-                            chosen_size=0,
-                            collisions=result.trace.total_collisions,
-                            guarantee=theorem41_guarantee(n, bi + 1)
-                            if n >= 4
-                            else 0.0,
-                        )
-                    )
-                    run.pattern = pattern
-                    run.special_set = frozenset()
-                    run.blocks_processed = bi + 1
-                    run.aborted_early = bi + 1 < len(network.blocks)
-                    run.final_cut = cut
-                    get_registry().inc("core.blocks_refined")
-                    tracer.event(
-                        obs_events.EV_SETS,
-                        block=bi,
-                        entering=entering,
-                        union=0,
-                        survivor=0,
-                        chosen=0,
-                        sets=0,
-                        sizes=[],
-                    )
+                chosen = survivors = 0
+                # with no set left every special element was demoted: the
+                # adversary is dead
+                dead = not result.sets
+                if dead:
                     block_span.set(dead=True)
-                    adv_span.set(survivor=0, blocks_processed=bi + 1)
-                    return run
-
-                chosen = chooser(result.sets, rng)
-                chosen_set = result.sets[chosen]
-
-                # Lemma 3.3 pullback: the refined symbol at each block-input
-                # position belongs to the network-input wire whose token sat
-                # there when the block began.
-                replacements: dict[int, Symbol] = {}
-                for pos, wire in cut.origin.items():
-                    replacements[wire] = result.pattern[pos]
-                pattern = pattern.with_symbols(replacements)
-
-                # Lemma 3.4 renaming rho_{chosen}: collapse back to three
-                # symbols.
-                pattern = pattern.rho(chosen)
-
-                # Advance the cut to the block's outputs, same renaming.
-                pivot = M(chosen)
-                new_symbols = rename_against_pivot(result.state.symbols, pivot)
-                block_symbols = result.state.symbols
-                new_origin = {
-                    pos: cut.origin[block_wire]
-                    for pos, block_wire in result.state.origin.items()
-                    if block_symbols[pos] is pivot
-                }
-                cut = SymbolicState(symbols=new_symbols, origin=new_origin)
-
+                else:
+                    chosen = chooser(result.sets, rng)
+                    survivors = len(result.sets[chosen])
+                    # Lemma 3.3 pullback: the refined symbol at each block
+                    # input position belongs to the network-input wire whose
+                    # token sat there; then Lemma 3.4's rho_chosen collapses
+                    # the input pattern and the block's outputs to three
+                    # symbols, with the chosen set's tokens as the new M0.
+                    pivot = (chosen + 1) * n
+                    inp[origin[held]] = _rho(result.refined_codes[held], pivot, n)
+                    out = result.output_codes
+                    origin = np.where(out == pivot, origin[result.tokens], -1)
+                    cut = _rho(out, pivot, n)
+                    if tracer.enabled:
+                        tracer.event(
+                            obs_events.EV_RHO,
+                            index=chosen,
+                            medium_before=survivors,
+                            medium_after=int(np.count_nonzero(inp == n)),
+                        )
                 run.records.append(
                     BlockRecord(
                         block_index=bi,
-                        entering_size=entering,
+                        entering_size=held.size,
                         union_size=result.b_size,
                         nonempty_sets=len(result.sets),
                         chosen_index=chosen,
-                        chosen_size=len(chosen_set),
+                        chosen_size=survivors,
                         collisions=result.trace.total_collisions,
                         guarantee=theorem41_guarantee(n, bi + 1)
                         if n >= 4
                         else 0.0,
                     )
                 )
-                run.pattern = pattern
-                run.special_set = pattern.m_set(0)
-                run.blocks_processed = bi + 1
-                run.final_cut = cut
                 get_registry().inc("core.blocks_refined")
                 if tracer.enabled:
                     tracer.event(
                         obs_events.EV_SETS,
                         block=bi,
-                        entering=entering,
+                        entering=held.size,
                         union=result.b_size,
-                        survivor=len(chosen_set),
+                        survivor=survivors,
                         chosen=chosen,
                         sets=len(result.sets),
-                        sizes=sorted(
-                            (len(s) for s in result.sets.values()),
-                            reverse=True,
-                        ),
+                        sizes=sorted(map(len, result.sets.values()), reverse=True),
                     )
-                if stop_when_dead and len(run.special_set) < 2:
-                    run.aborted_early = bi + 1 < len(network.blocks)
-                    adv_span.set(
-                        survivor=len(run.special_set),
-                        blocks_processed=run.blocks_processed,
-                    )
-                    return run
-
+                if dead or (stop_when_dead and survivors < 2):
+                    break
+        run.blocks_processed = len(run.records)
+        run.aborted_early = run.blocks_processed < len(network.blocks)
+        if not dead:
+            run.special_set = frozenset(np.flatnonzero(inp == n).tolist())
         adv_span.set(
             survivor=len(run.special_set),
             blocks_processed=run.blocks_processed,
+        )
+    run.pattern = Pattern(_decode(inp, n))
+    if run.records:
+        held = np.flatnonzero(origin >= 0)
+        run.final_cut = SymbolicState(
+            symbols=_decode(cut, n),
+            origin=dict(zip(held.tolist(), origin[held].tolist())),
         )
     return run

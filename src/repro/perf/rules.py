@@ -129,12 +129,16 @@ class _Loop:
 
 
 def _bound_names(node: ast.AST) -> Iterator[str]:
-    """Every name a statement subtree binds (targets, withitems, defs)."""
+    """Every name a statement subtree binds (targets, withitems, defs),
+    and the root name of every subscript or attribute it stores into:
+    after ``a[i] = x`` or ``a.x = y``, what ``a`` reads has changed."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(
-            sub.ctx, (ast.Store, ast.Del)
-        ):
-            yield sub.id
+        if isinstance(getattr(sub, "ctx", None), (ast.Store, ast.Del)):
+            root = sub
+            while isinstance(root, (ast.Subscript, ast.Attribute)):
+                root = root.value
+            if isinstance(root, ast.Name):
+                yield root.id
         elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield sub.name
         elif isinstance(sub, ast.alias):

@@ -50,12 +50,14 @@ def reference_reconstruct_reverse_delta(
     network is not an ``l``-level reverse delta network.
 
     Sparse networks can admit many balanced bipartitions per level, only
-    some of which work recursively; the search backtracks across them,
-    bounded by ``max_attempts`` total split trials (dense networks such
-    as the butterfly have essentially unique splits and never backtrack).
+    some of which work recursively; the search backtracks across them.
+    A search that never backtracks tries one split at each of the
+    ``n - 1`` tree nodes; ``max_attempts`` bounds the split trials beyond
+    those (dense networks such as the butterfly have essentially unique
+    splits and never backtrack).
     """
     n = network.n
-    budget = [max_attempts]
+    budget = [max_attempts + n - 1]
     if not network.is_pure_circuit():
         raise TopologyError("topology recognition requires a pure circuit network")
     if not is_power_of_two(n):

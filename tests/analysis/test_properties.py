@@ -80,6 +80,23 @@ class TestReverseDeltaRecognition:
                 x = rng.permutation(16)
                 assert (net.evaluate(x) == net2.evaluate(x)).all()
 
+    @pytest.mark.parametrize("family", ["butterfly", "random"])
+    def test_budget_counts_only_backtracking(self, family):
+        """Each of the n - 1 nodes tries one split without spending
+        ``max_attempts``, so 2^13 wires (13 levels) are recognised even
+        with a budget of zero."""
+        n = 1 << 13
+        rdn = (
+            butterfly_rdn(n)
+            if family == "butterfly"
+            else random_reverse_delta(n, np.random.default_rng(13))
+        )
+        net = rdn.to_network()
+        for budget in (0, 4096):
+            rebuilt = reconstruct_reverse_delta(net, max_attempts=budget)
+            x = np.random.default_rng(budget).permutation(n)
+            assert (rebuilt.to_network(n).evaluate(x) == net.evaluate(x)).all()
+
     def test_empty_network_is_rdn(self):
         net = ComparatorNetwork(8, [Level(), Level(), Level()])
         assert is_reverse_delta_topology(net)

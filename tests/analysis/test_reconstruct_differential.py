@@ -157,3 +157,5 @@ def test_budget_exhaustion_matches_the_oracle(max_attempts):
     got = _outcome(reconstruct_reverse_delta, network, max_attempts)
     expected = _outcome(reference_reconstruct_reverse_delta, network, max_attempts)
     assert got == expected
+    # this sparse block needs over 30 split trials beyond one per node
+    assert got[0] == "error" and "backtracking budget" in got[1]

@@ -6,23 +6,18 @@ This is the proof's induction written out literally over
 :func:`repro.core.adversary.run_lemma41` had before it became a
 height-by-height array sweep.  It is kept only as the reference the
 sweep is compared against (``test_lemma41_differential.py``); nothing in
-``src/`` imports it.
+``src/`` imports it.  It returns its own records, with the attribute
+names of :class:`~repro.core.adversary.Lemma41Result` and its trace.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.adversary import (
-    SHIFT_STRATEGIES,
-    Lemma41Result,
-    Lemma41Trace,
-    NodeRecord,
-    ShiftStrategy,
-    t_sets,
-)
+from repro.core.adversary import SHIFT_STRATEGIES, NodeRecord, ShiftStrategy, t_sets
 from repro.core.alphabet import M, Symbol, X
 from repro.core.pattern import Pattern
 from repro.core.propagate import SymbolicState
@@ -33,6 +28,28 @@ from repro.networks.gates import Op
 __all__ = ["reference_lemma41"]
 
 
+@dataclass
+class ReferenceTrace:
+    """The recursion's node records, in post-order."""
+
+    nodes: list[NodeRecord] = field(default_factory=list)
+
+
+@dataclass
+class ReferenceResult:
+    """The recursion's outcome, named as ``Lemma41Result`` names it."""
+
+    pattern: Pattern
+    sets: dict[int, frozenset[int]]
+    t: int
+    k: int
+    levels: int
+    state: SymbolicState
+    a_size: int
+    b_size: int
+    trace: ReferenceTrace
+
+
 def reference_lemma41(
     rdn: ReverseDeltaNetwork,
     pattern: Pattern,
@@ -40,8 +57,7 @@ def reference_lemma41(
     *,
     shift_strategy: str | ShiftStrategy = "argmin",
     rng: np.random.Generator | None = None,
-    check_guarantee: bool = True,
-) -> Lemma41Result:
+) -> ReferenceResult:
     """Lemma 4.1 by post-order recursion; same contract as ``run_lemma41``."""
     if k < 1:
         raise PatternError(f"k must be positive, got {k}")
@@ -69,7 +85,7 @@ def reference_lemma41(
     assign: list[Symbol] = list(pattern.symbols)  # refined input pattern
     sym: list[Symbol] = list(pattern.symbols)  # symbol at each position
     tok: dict[int, int] = {w: w for w in a_set}  # position -> input wire
-    trace = Lemma41Trace()
+    trace = ReferenceTrace()
     fresh_x = [0]  # next fresh second index for demotion symbols
 
     def recurse(node: ReverseDeltaNetwork) -> dict[int, set[int]]:
@@ -189,7 +205,7 @@ def reference_lemma41(
     levels = rdn.levels
     t = t_sets(levels, k)
     assert all(0 <= i < t for i in result_sets), "set index outside t(l)"
-    result = Lemma41Result(
+    result = ReferenceResult(
         pattern=Pattern(assign),
         sets=result_sets,
         t=t,
@@ -200,10 +216,10 @@ def reference_lemma41(
         b_size=b_size,
         trace=trace,
     )
-    if check_guarantee and strategy is SHIFT_STRATEGIES["argmin"]:
-        if b_size < result.guarantee - 1e-9:
-            raise GuaranteeError(
-                f"Lemma 4.1 guarantee violated: |B|={b_size} < "
-                f"{result.guarantee} = |A|(1 - l/k^2)"
-            )
+    guarantee = len(a_set) * (1.0 - levels / k2)
+    if strategy is SHIFT_STRATEGIES["argmin"] and b_size < guarantee - 1e-9:
+        raise GuaranteeError(
+            f"Lemma 4.1 guarantee violated: |B|={b_size} < "
+            f"{guarantee} = |A|(1 - l/k^2)"
+        )
     return result

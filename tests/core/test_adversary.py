@@ -141,7 +141,7 @@ class TestStrategies:
         for name in SHIFT_STRATEGIES:
             res = run_lemma41(
                 block, p, k=3, shift_strategy=name,
-                rng=np.random.default_rng(7), check_guarantee=False,
+                rng=np.random.default_rng(7),
             )
             sizes[name] = res.b_size
         assert sizes["argmin"] >= sizes["random"]
@@ -202,7 +202,7 @@ class TestTrace:
         n = 16
         res = run_lemma41(
             random_reverse_delta(n, rng), all_medium_pattern(n), k=2,
-            shift_strategy="worst", check_guarantee=False,
+            shift_strategy="worst",
         )
         by_height = res.trace.demoted_by_height()
         assert sum(by_height.values()) == res.trace.total_demoted

@@ -26,7 +26,6 @@ class TestStochasticStrategiesRequireRng:
                 all_medium_pattern(8),
                 2,
                 shift_strategy="random",
-                check_guarantee=False,
             )
 
     def test_adversary_random_choice_without_rng_raises(self):

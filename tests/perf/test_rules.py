@@ -75,3 +75,35 @@ class TestRuleRegistry:
     def test_registry_is_documented(self):
         for rule in PERF_RULES.values():
             assert rule.summary
+
+
+#: Two twins: ``mutated`` writes ``marks`` by subscript and ``box`` by
+#: attribute in the loop, ``invariant`` only reads them.
+_STORES = """\
+import numpy as np
+
+
+def mutated(rows, marks, box):
+    for row in rows:
+        for x in row:
+            marks[x] = 1
+            box.last = x
+            print(np.flatnonzero(marks == 1), np.sqrt(box.last))
+
+
+def invariant(rows, marks, box):
+    for row in rows:
+        for x in row:
+            print(np.flatnonzero(marks == 1), np.sqrt(box.last))
+"""
+
+
+class TestLoopInvariance:
+    def test_subscript_and_attribute_stores_vary_the_root(self, tmp_path):
+        (tmp_path / "stores.py").write_text(_STORES)
+        found = [
+            (d.location.line, d.message.split("(", 1)[0])
+            for d in analyze_paths([tmp_path]).diagnostics
+            if d.rule == "perf/repeated-recompute-in-loop"
+        ]
+        assert found == [(15, "numpy.flatnonzero"), (15, "numpy.sqrt")]
