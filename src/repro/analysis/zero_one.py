@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ReproError
 from ..networks.network import ComparatorNetwork
-from .verify import _zero_one_batches
+from .verify import _mask_bits, _mask_codes, _unsorted_words, _zero_one_rows
 
 __all__ = [
     "zero_one_inputs",
@@ -31,33 +31,34 @@ __all__ = [
 
 
 def zero_one_inputs(n: int, max_wires: int = 24) -> np.ndarray:
-    """All :math:`2^n` binary inputs as one ``(2^n, n)`` array."""
+    """All :math:`2^n` binary inputs as one ``(2^n, n)`` array, in code order."""
     if n > max_wires:
         raise ReproError(f"2^{n} binary inputs refused (max_wires={max_wires})")
-    return np.concatenate(list(_zero_one_batches(n)), axis=0)
+    return _zero_one_rows(np.arange(1 << n, dtype=np.uint64), n)
 
 
 def zero_one_witnesses(
     network: ComparatorNetwork, max_wires: int = 20
 ) -> np.ndarray:
-    """All binary inputs the network fails to sort (possibly empty)."""
+    """All binary inputs the network fails to sort, in code order
+    (possibly none: a ``(0, n)`` array)."""
     n = network.n
     if n > max_wires:
         raise ReproError(f"2^{n} binary inputs refused (max_wires={max_wires})")
-    found = []
-    for batch in _zero_one_batches(n):
-        out = network.evaluate_batch(batch)
-        bad = (np.diff(out, axis=1) < 0).any(axis=1)
-        if bad.any():
-            found.append(batch[bad])
-    if not found:
-        return np.empty((0, n), dtype=np.int64)
-    return np.concatenate(found, axis=0)
+    codes = np.concatenate(
+        [_mask_codes(first, mask) for first, mask in _unsorted_words(network)]
+    )
+    return _zero_one_rows(codes, n)
 
 
 def witness_count(network: ComparatorNetwork, max_wires: int = 20) -> int:
     """Number of binary inputs the network fails to sort."""
-    return int(zero_one_witnesses(network, max_wires=max_wires).shape[0])
+    n = network.n
+    if n > max_wires:
+        raise ReproError(f"2^{n} binary inputs refused (max_wires={max_wires})")
+    return sum(
+        int(np.count_nonzero(_mask_bits(mask))) for _, mask in _unsorted_words(network)
+    )
 
 
 def sorts_zero_one_subset(

@@ -38,6 +38,7 @@ from typing import Any, ClassVar
 import numpy as np
 
 from .._util import json_native
+from ..analysis.verify import MAX_ZERO_ONE_WIRES
 from ..errors import FarmError
 from .store import job_key
 
@@ -192,7 +193,21 @@ class VerifyJob(Job):
 
     sorter: str = "bitonic"
     n: int = 16
-    max_wires: int = 24
+    max_wires: int = MAX_ZERO_ONE_WIRES
+
+    def __post_init__(self) -> None:
+        # serve parses requests through here: refuse what no worker can
+        # run (a foreign TypeError) or bound (a 2^n sweep past 2^24)
+        for name in ("n", "max_wires"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise FarmError(
+                    f"verify job {name} must be an integer, got {value!r}"
+                )
+        if not 1 <= self.n <= MAX_ZERO_ONE_WIRES:
+            raise FarmError(
+                f"verify job n must be in 1..{MAX_ZERO_ONE_WIRES}, got {self.n}"
+            )
 
     def build_network(self):
         """Instantiate the named sorter at this job's width."""

@@ -131,6 +131,27 @@ class TestVerifyJob:
         fake = {"witness": [0] * 8}  # sorted input cannot be a witness
         assert not job.revalidate(fake)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"n": "16"},
+            {"n": 16.0},
+            {"n": True},
+            {"max_wires": "x"},
+            {"max_wires": None},
+            {"n": 0},
+            {"sorter": "insertion", "n": 30, "max_wires": 64},
+        ],
+    )
+    def test_job_for_refuses_what_no_worker_can_run(self, params):
+        with pytest.raises(FarmError, match="verify job"):
+            job_for("verify", params)
+
+    def test_max_wires_itself_is_unbounded(self):
+        # a refusal threshold, not a cost: only n bounds the sweep
+        job = job_for("verify", {"sorter": "insertion", "n": 24, "max_wires": 2424})
+        assert job.max_wires == 2424
+
 
 class TestOtherJobs:
     def test_lint_job(self):

@@ -160,10 +160,19 @@ class TestHttpSurface:
         assert not excinfo.value.retryable
 
     def test_bad_params_are_400_not_500(self, tmp_path):
+        bad = [
+            {"bogus": 1},
+            {"sorter": "bitonic", "n": "16"},
+            {"sorter": "bitonic", "n": 16.0},
+            {"sorter": "bitonic", "n": 16, "max_wires": "x"},
+            {"sorter": "insertion", "n": 30, "max_wires": 64},
+        ]
         with DaemonHarness(tmp_path / "store") as daemon:
-            with pytest.raises(ServeHTTPError) as excinfo:
-                daemon.client.query("verify", {"bogus": 1})
-        assert excinfo.value.status == 400
+            for params in bad:
+                with pytest.raises(ServeHTTPError) as excinfo:
+                    daemon.client.query("verify", params)
+                assert excinfo.value.status == 400, params
+            assert daemon.client.stats()["dispatched"] == 0
 
 
 class TestMetricsz:

@@ -20,8 +20,10 @@ from repro.serve import ServeClient, ServeHTTPError
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-#: Slow enough (~1s of 0-1 sweeping) that SIGTERM lands mid-request.
-SLOW_PARAMS = {"sorter": "oddeven_transposition", "n": 18}
+#: Slow enough (~0.8 s of adversary work at 2^14 wires) that a SIGTERM
+#: sent once the job is on the pool lands mid-request.
+SLOW_OP = "attack"
+SLOW_PARAMS = {"family": "random_iterated", "n": 16384, "blocks": 3, "seed": 0}
 
 
 def launch_daemon(store_path):
@@ -48,7 +50,7 @@ def wait_for_port(proc) -> int:
     return int(match.group(1))
 
 
-@pytest.mark.slow  # ~5s: subprocess daemon + real SIGTERM timing
+@pytest.mark.slow  # ~3s: subprocess daemon + real SIGTERM timing
 def test_sigterm_drains_inflight_request_and_persists_it(tmp_path):
     store_path = tmp_path / "store"
     proc = launch_daemon(store_path)
@@ -61,14 +63,20 @@ def test_sigterm_drains_inflight_request_and_persists_it(tmp_path):
 
         def slow_query():
             try:
-                outcome["response"] = client.query("verify", SLOW_PARAMS)
+                outcome["response"] = client.query(SLOW_OP, SLOW_PARAMS)
             except ServeError as exc:
                 outcome["error"] = exc
+            outcome["replied_at"] = time.monotonic()
 
         worker = threading.Thread(target=slow_query)
         worker.start()
-        # let the request get admitted and dispatched, then terminate
-        time.sleep(0.5)
+        # terminate as soon as the request is on the pool
+        probe = ServeClient(port=port, timeout=10.0)
+        deadline = time.monotonic() + 30
+        while probe.stats()["dispatched"] == 0:
+            assert time.monotonic() < deadline, "request never dispatched"
+            time.sleep(0.005)
+        signalled_at = time.monotonic()
         os.killpg(proc.pid, signal.SIGTERM)
 
         # the in-flight request must still complete, not be dropped
@@ -78,6 +86,9 @@ def test_sigterm_drains_inflight_request_and_persists_it(tmp_path):
         response = outcome["response"]
         assert response.ok
         assert response.source == "computed"
+        # the premise of the test: the reply left after the signal, so
+        # the drain, not a finished request, is what was exercised
+        assert outcome["replied_at"] > signalled_at
 
         # a request issued during/after the drain is refused, not queued
         try:
@@ -99,7 +110,7 @@ def test_sigterm_drains_inflight_request_and_persists_it(tmp_path):
             proc.communicate(timeout=10)
 
     # the drained result was persisted: a fresh store serves it directly
-    job = job_for("verify", SLOW_PARAMS)
+    job = job_for(SLOW_OP, SLOW_PARAMS)
     doc = ArtifactStore(store_path).get(job.key())
     assert doc is not None and doc["status"] == "ok"
-    assert doc["result"]["is_sorter"] is True
+    assert doc["result"]["proved_not_sorting"] is True
