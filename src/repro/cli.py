@@ -163,6 +163,7 @@ def _print_attack_result(args, result: dict, cached: bool) -> int:
 def _attack_via_store(args) -> int:
     """Attack through the content-addressed store: hit, revalidate or run."""
     from .farm import ArtifactStore, AttackJob
+    from .farm.store import trusted_document
 
     if getattr(args, "file", None):
         payload = serialize.payload_of(json.loads(Path(args.file).read_text()))
@@ -172,17 +173,10 @@ def _attack_via_store(args) -> int:
                         k=args.k, seed=args.seed)
     store = ArtifactStore(args.store)
     key = job.key()
-    doc = store.get(key)
-    if doc is not None and doc.get("status") == "ok":
-        result = doc.get("result")
-        valid = False
-        if isinstance(result, dict):
-            try:
-                valid = job.revalidate(result)
-            except ReproError:
-                valid = False
-        if valid:
-            return _print_attack_result(args, result, cached=True)
+    doc, refused = trusted_document(store, key, job.revalidate)
+    if doc is not None:
+        return _print_attack_result(args, doc["result"], cached=True)
+    if refused:
         logger.warning("stale artifact failed re-verification; recomputing")
     try:
         result = job.execute()

@@ -71,13 +71,13 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import GuaranteeError, PatternError, PropagationError
+from ..errors import GuaranteeError, PatternError, PropagationError, RefinementError
 from ..networks.delta import ReverseDeltaNetwork
 from ..networks.gates import OP_CODE, Op
 from ..obs import events as obs_events
 from ..obs.trace import get_tracer
 from .alphabet import L, M, S, Symbol, X
-from .pattern import Pattern
+from .pattern import Pattern, _keys
 from .propagate import SymbolicState
 
 __all__ = [
@@ -222,17 +222,13 @@ class Lemma41Result:
     @cached_property
     def pattern(self) -> Pattern:
         """The refined pattern ``q`` on the block's input wires."""
-        return Pattern(_decode(self.refined_codes, self.refined_codes.size))
+        return Pattern(_decode(self.refined_codes))
 
     @cached_property
     def state(self) -> SymbolicState:
         """Symbols per output position under ``q`` and the token map
         ``position -> input wire`` for every special-set element."""
-        held = np.flatnonzero(self.tokens >= 0)
-        return SymbolicState(
-            symbols=_decode(self.output_codes, self.output_codes.size),
-            origin=dict(zip(held.tolist(), self.tokens[held].tolist())),
-        )
+        return _state_view(self.output_codes, self.tokens)
 
     @property
     def retained_fraction(self) -> float:
@@ -253,15 +249,12 @@ class Lemma41Result:
 
     def union(self) -> frozenset[int]:
         """``B``: all wires surviving in some special set."""
-        out: set[int] = set()
-        for s in self.sets.values():
-            out |= s
-        return frozenset(out)
+        return frozenset().union(*self.sets.values())
 
 
 def run_lemma41(
     rdn: ReverseDeltaNetwork,
-    pattern: Pattern,
+    pattern: Pattern | np.ndarray,
     k: int,
     *,
     shift_strategy: str | ShiftStrategy = "argmin",
@@ -275,7 +268,8 @@ def run_lemma41(
         The block; must cover wires ``0 .. n-1`` exactly.
     pattern:
         Input pattern using only ``S0``/``M0``/``L0`` (the lemma's
-        precondition; validated).
+        precondition; validated), as a :class:`Pattern` or as its code
+        array (``0``, ``n`` and ``2**62`` per wire).
     k:
         The lemma's parameter; the paper uses ``k = lg n``.
     shift_strategy:
@@ -296,12 +290,12 @@ def run_lemma41(
     """
     if k < 1:
         raise PatternError(f"k must be positive, got {k}")
-    n = pattern.n
+    n = len(pattern)
     if not rdn.covers(n):
         raise PatternError(
             "the block must cover the pattern's wires 0..n-1 exactly"
         )
-    pattern.validate_sml()
+    codes = _sml_codes(pattern)
     strategy: ShiftStrategy = (
         SHIFT_STRATEGIES[shift_strategy]
         if isinstance(shift_strategy, str)
@@ -314,7 +308,7 @@ def run_lemma41(
         )
     tracer = get_tracer()
     with tracer.span(obs_events.SPAN_LEMMA41, n=n, levels=rdn.levels, k=k):
-        sweep = _HeightSweep(rdn, pattern, k, strategy, rng, tracer.enabled)
+        sweep = _HeightSweep(rdn, codes, k, strategy, rng, tracer.enabled)
         sweep.run()
         result = sweep.result()
         if tracer.enabled:
@@ -355,13 +349,20 @@ def _symbol(code: int, n: int) -> Symbol:
     return M(i) if j == n - 1 else X(i, j)
 
 
-def _sml_codes(pattern: Pattern) -> np.ndarray:
-    """The codes of an ``S0``/``M0``/``L0`` pattern, one per wire."""
-    n = pattern.n
-    codes = {S(0): 0, M(0): n, L(0): _LARGE}
-    return np.fromiter(
-        map(codes.__getitem__, pattern.symbols), dtype=np.int64, count=n
-    )
+def _sml_codes(pattern: Pattern | np.ndarray) -> np.ndarray:
+    """Fresh ``S0``/``M0``/``L0`` codes of a pattern or code array."""
+    if isinstance(pattern, Pattern):
+        pattern.validate_sml()
+        sml = {S(0): 0, M(0): pattern.n, L(0): _LARGE}
+        return np.fromiter(map(sml.__getitem__, pattern), dtype=np.int64)
+    codes = _keys(pattern)
+    bad = (codes != 0) & (codes != codes.size) & (codes != _LARGE)
+    if bad.any():
+        raise RefinementError(
+            "pattern contains codes other than S0/M0/L0 (0, n, 2**62): "
+            f"{np.unique(codes[bad])[:8].tolist()}"
+        )
+    return codes.astype(np.int64)
 
 
 def _rho(codes: np.ndarray, pivot: int, n: int) -> np.ndarray:
@@ -370,11 +371,18 @@ def _rho(codes: np.ndarray, pivot: int, n: int) -> np.ndarray:
     return np.where(codes == pivot, n, np.where(codes < pivot, 0, _LARGE))
 
 
-def _decode(codes: np.ndarray, n: int) -> list[Symbol]:
+def _decode(codes: np.ndarray) -> list[Symbol]:
     """The symbols of a code array (one lookup per distinct code)."""
     distinct, inverse = np.unique(codes, return_inverse=True)
-    table = [_symbol(code, n) for code in distinct.tolist()]
+    table = [_symbol(code, codes.size) for code in distinct.tolist()]
     return list(map(table.__getitem__, inverse.tolist()))
+
+
+def _state_view(codes: np.ndarray, tokens: np.ndarray) -> SymbolicState:
+    """A cut's symbols, and ``position -> input wire`` of its tokens."""
+    held = np.flatnonzero(tokens >= 0)
+    origin = dict(zip(held.tolist(), tokens[held].tolist()))
+    return SymbolicState(symbols=_decode(codes), origin=origin)
 
 
 def _post_order(levels: int, h: int, count: int) -> np.ndarray:
@@ -400,8 +408,8 @@ class _HeightSweep:
     per internal node, indexed by post-order number.
     """
 
-    def __init__(self, rdn, pattern, k, strategy, rng, traced=False):
-        n = pattern.n
+    def __init__(self, rdn, codes, k, strategy, rng, traced=False):
+        n = codes.size
         self.n, self.k, self.k2 = n, k, k * k
         self.levels = rdn.levels
         # band indices stay below levels * k^2, so every code fits under L0
@@ -412,7 +420,7 @@ class _HeightSweep:
             )
         self.rdn, self.rank = rdn, rdn.rank
         self.strategy, self.rng = strategy, rng
-        self.assign = _sml_codes(pattern)
+        self.assign = codes
         self.a_size = int(np.count_nonzero(self.assign == n))
         self.sym = self.assign.copy()
         self.tok = np.where(

@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import PatternError, PropagationError
 from ..networks.network import ComparatorNetwork
 from .pattern import Pattern
-from .propagate import SymbolicState, apply_gate_symbolic
+from .propagate import propagate_with_tokens
 
 __all__ = [
     "CollisionStatus",
@@ -71,16 +71,13 @@ def classify_collision(
             f"pattern admits {pattern.input_count()} inputs > cap {max_inputs}; "
             "use the symbolic certificate instead"
         )
-    any_collide = False
-    all_collide = True
-    for values in pattern.enumerate_inputs():
-        if collide_under_input(network, values, w0, w1):
-            any_collide = True
-        else:
-            all_collide = False
-    if any_collide and all_collide:
+    seen = {
+        collide_under_input(network, values, w0, w1)
+        for values in pattern.enumerate_inputs()
+    }
+    if seen == {True}:
         return CollisionStatus.COLLIDES
-    if any_collide:
+    if True in seen:
         return CollisionStatus.CAN_COLLIDE
     return CollisionStatus.CANNOT_COLLIDE
 
@@ -123,6 +120,10 @@ def noncolliding_certificate(
     same-symbol meeting occurred, which for same-set tokens means the set
     collides.
     """
+    if pattern.n != network.n:
+        raise PatternError(
+            f"pattern has {pattern.n} wires, network has {network.n}"
+        )
     wire_list = sorted(set(int(w) for w in wires))
     if not wire_list:
         return True
@@ -137,16 +138,8 @@ def noncolliding_certificate(
             f"symbol {sym!r} occurs outside the candidate set; the certificate "
             "only applies to a full symbol class"
         )
-    state = SymbolicState(
-        symbols=list(pattern.symbols),
-        origin={w: w for w in wire_list},
-    )
     try:
-        for stage in network.stages:
-            if stage.perm is not None:
-                state.apply_permutation(stage.perm.mapping)
-            for gate in stage.level:
-                apply_gate_symbolic(state, gate)
+        propagate_with_tokens(network, pattern, wire_list)
     except PropagationError:
         return False
     return True

@@ -25,14 +25,14 @@ from ..obs import events as obs_events
 from ..obs.trace import get_tracer
 from .certificates import NonSortingCertificate
 from .iterate import AdversaryRun, run_adversary
-from .pattern import Pattern
+from .pattern import Pattern, _keys, _refine
 
 __all__ = ["extract_fooling_pair", "prove_not_sorting", "FoolingOutcome"]
 
 
 def extract_fooling_pair(
     network: ComparatorNetwork,
-    pattern: Pattern,
+    pattern: Pattern | np.ndarray,
     special_set: Iterable[int],
     rng: np.random.Generator | None = None,
     verify: bool = True,
@@ -44,8 +44,11 @@ def extract_fooling_pair(
     network:
         The flattened network the certificate is checked against.
     pattern:
-        The final input pattern; every wire of ``special_set`` must carry
-        the same symbol (so the refinement gives them consecutive values).
+        The final input pattern, as a :class:`Pattern` or as an integer
+        code array ordered as its symbols (such as
+        :attr:`AdversaryRun.input_codes`); every wire of ``special_set``
+        must carry the same symbol (so the refinement gives them
+        consecutive values).
     special_set:
         At least two wires claimed mutually noncolliding under the pattern.
     rng:
@@ -60,12 +63,11 @@ def extract_fooling_pair(
         raise PatternError(
             f"need at least two special wires to build a fooling pair, got {len(wires)}"
         )
-    sym = pattern[wires[0]]
-    for w in wires:
-        if pattern[w] is not sym:
-            raise PatternError("special-set wires must share one symbol")
+    keys = _keys(pattern)
+    if (keys[wires] != keys[wires[0]]).any():
+        raise PatternError("special-set wires must share one symbol")
 
-    values = pattern.refine_to_input(rng=rng)
+    values = _refine(keys, rng)
     # Equal-symbol wires receive consecutive values; take the two
     # special wires with the smallest values -- they are adjacent.
     by_value = sorted(wires, key=lambda w: int(values[w]))
@@ -141,6 +143,6 @@ def prove_not_sorting(
     ):
         flat = network.to_network()
         cert = extract_fooling_pair(
-            flat, run.pattern, run.special_set, rng=rng, verify=True
+            flat, run.input_codes, run.special_set, rng=rng, verify=True
         )
     return FoolingOutcome(run, cert)

@@ -22,8 +22,9 @@ The constructive loop implemented here, per block:
    :math:`[\\mathcal{M}_0]`-set.
 
 It runs on Lemma 4.1's int64 symbol codes (see
-:mod:`repro.core.adversary`): steps 1, 4 and 5 are array steps, and the
-final pattern and cut are decoded once, when the loop ends.
+:mod:`repro.core.adversary`) from the input pattern to the fooling
+pair: steps 1, 4 and 5 are array steps, and symbols are decoded only
+when a caller reads a run's ``pattern`` or ``final_cut``.
 
 The loop records, per block, the measured survivor size next to the
 proof's guarantee -- the E3 experiment is literally this trace.
@@ -32,7 +33,8 @@ proof's guarantee -- the E3 experiment is literally this trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,8 +44,8 @@ from ..networks.delta import IteratedReverseDeltaNetwork
 from ..obs import events as obs_events
 from ..obs.registry import get_registry
 from ..obs.trace import get_tracer
-from .adversary import _decode, _rho, _sml_codes, run_lemma41
-from .pattern import Pattern, all_medium_pattern
+from .adversary import _decode, _rho, _sml_codes, _state_view, run_lemma41
+from .pattern import Pattern
 from .propagate import SymbolicState
 
 __all__ = [
@@ -109,28 +111,39 @@ class BlockRecord:
         return self.union_size / self.entering_size if self.entering_size else 1.0
 
 
-@dataclass
+@dataclass(eq=False)
 class AdversaryRun:
     """Outcome of the Theorem 4.1 loop on a concrete network.
 
-    ``pattern`` is the final three-symbol input pattern; ``special_set``
-    is its :math:`[\\mathcal{M}_0]`-set ``D`` -- wires of the *network
-    input* whose values are provably never compared.  ``survived`` is
-    ``|D| >= 2``, the Corollary 4.1.1 threshold.
+    ``input_codes`` is the final three-symbol input pattern as symbol
+    codes; ``special_set`` is its :math:`[\\mathcal{M}_0]`-set ``D`` --
+    wires of the *network input* whose values are provably never
+    compared.  ``survived`` is ``|D| >= 2``, the Corollary 4.1.1
+    threshold.  ``cut_codes`` and ``cut_tokens`` are the cut after the
+    last block: the code at each position and the input wire of the
+    token there (``-1`` for none).  The arrays are read-only.
     """
 
     n: int
     k: int
-    pattern: Pattern
+    input_codes: np.ndarray
     special_set: frozenset[int]
-    records: list[BlockRecord] = field(default_factory=list)
-    blocks_processed: int = 0
-    aborted_early: bool = False
-    #: Symbolic state at the output of the last processed block: renamed
-    #: three-symbol pattern per position, plus ``position -> input wire``
-    #: for the surviving medium tokens.  Lets callers chain adversary runs
-    #: block by block (used by the E9 adaptive duel).
-    final_cut: SymbolicState | None = None
+    records: list[BlockRecord]
+    blocks_processed: int
+    aborted_early: bool
+    cut_codes: np.ndarray
+    cut_tokens: np.ndarray
+
+    @cached_property
+    def pattern(self) -> Pattern:
+        """The final input pattern (decoded on first use)."""
+        return Pattern(_decode(self.input_codes))
+
+    @cached_property
+    def final_cut(self) -> SymbolicState | None:
+        """The cut as a symbolic state, ``None`` if no block ran; lets
+        callers chain adversary runs block by block (the E9 duel)."""
+        return _state_view(self.cut_codes, self.cut_tokens) if self.records else None
 
     @property
     def survived(self) -> bool:
@@ -208,18 +221,18 @@ def run_adversary(
             "np.random.Generator (there is no implicit default stream)"
         )
 
-    pattern = initial_pattern if initial_pattern is not None else all_medium_pattern(n)
-    if pattern.n != n:
-        raise PatternError(f"initial pattern has {pattern.n} wires, network {n}")
-    pattern.validate_sml()
-
-    # The input pattern per network wire, and the cut: the symbol at each
+    # The input pattern per network wire, and the cut: the code at each
     # position at the current depth and the network-input wire of the
     # medium token there (-1 for none).  Every M0 of the cut has a token.
-    inp = _sml_codes(pattern)
+    if initial_pattern is None:
+        inp = np.full(n, n, dtype=np.int64)  # all M0
+    elif initial_pattern.n != n:
+        raise PatternError(f"initial pattern has {initial_pattern.n} wires, network {n}")
+    else:
+        inp = _sml_codes(initial_pattern)
     cut = inp.copy()
     origin = np.where(inp == n, np.arange(n, dtype=np.int64), np.int64(-1))
-    run = AdversaryRun(n=n, k=k, pattern=pattern, special_set=frozenset())
+    run = AdversaryRun(n, k, inp, frozenset(), [], 0, False, cut, origin)
     dead = False
 
     tracer = get_tracer()
@@ -234,11 +247,7 @@ def run_adversary(
                     cut, origin = moved
                 held = np.flatnonzero(origin >= 0)
                 result = run_lemma41(
-                    rdn,
-                    Pattern(_decode(cut, n)),
-                    k,
-                    shift_strategy=shift_strategy,
-                    rng=rng,
+                    rdn, cut, k, shift_strategy=shift_strategy, rng=rng
                 )
                 chosen = survivors = 0
                 # with no set left every special element was demoted: the
@@ -298,15 +307,11 @@ def run_adversary(
         run.aborted_early = run.blocks_processed < len(network.blocks)
         if not dead:
             run.special_set = frozenset(np.flatnonzero(inp == n).tolist())
+        run.cut_codes, run.cut_tokens = cut, origin
+        for codes in (inp, cut, origin):
+            codes.setflags(write=False)
         adv_span.set(
             survivor=len(run.special_set),
             blocks_processed=run.blocks_processed,
-        )
-    run.pattern = Pattern(_decode(inp, n))
-    if run.records:
-        held = np.flatnonzero(origin >= 0)
-        run.final_cut = SymbolicState(
-            symbols=_decode(cut, n),
-            origin=dict(zip(held.tolist(), origin[held].tolist())),
         )
     return run

@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import PatternError, RefinementError
 from ..obs import events as obs_events
 from ..obs.trace import get_tracer
-from .alphabet import L, M, S, Symbol, rename_against_pivot
+from .alphabet import L, M, S, Symbol, rename_against_pivot, sort_symbols
 
 __all__ = ["Pattern", "sml_pattern", "all_medium_pattern", "combine", "oplus_parts"]
 
@@ -131,24 +131,17 @@ class Pattern:
     def refines_to(self, other: "Pattern") -> bool:
         """True iff ``self`` can be refined to ``other``.
 
-        Checked in :math:`O(n \\lg n)`: group wires by the coarse
-        pattern's symbols in :math:`<_P` order; every wire in a lower
-        group must carry a strictly smaller fine symbol than every wire in
-        any higher group, which reduces to a running prefix-max /
-        group-min comparison.
+        Checked in :math:`O(n \\lg n)`: order the wires by the coarse
+        pattern's symbol, ties by the fine one; then every group's first
+        fine symbol must exceed every fine symbol of the lower groups.
         """
         if other.n != self.n:
             return False
-        prefix_max: Symbol | None = None
-        for _, wires in self.groups_in_order():
-            group_syms = [other._symbols[w] for w in wires]
-            group_min = min(group_syms, key=lambda s: s.key)
-            if prefix_max is not None and not prefix_max < group_min:
-                return False
-            group_max = max(group_syms, key=lambda s: s.key)
-            if prefix_max is None or prefix_max < group_max:
-                prefix_max = group_max
-        return True
+        coarse, fine = _keys(self), _keys(other)
+        order = np.lexsort((fine, coarse))
+        fine = fine[order]
+        first = np.flatnonzero(np.diff(coarse[order])) + 1
+        return bool((np.maximum.accumulate(fine)[first - 1] < fine[first]).all())
 
     def u_refines_to(self, other: "Pattern", U: Iterable[int]) -> bool:
         """U-refinement (Definition 3.2): refinement fixing wires outside U."""
@@ -166,19 +159,14 @@ class Pattern:
 
     # -- refinement to concrete inputs -----------------------------------------
     def admits_input(self, values: Sequence[int] | np.ndarray) -> bool:
-        """True iff the pattern can be refined to this input permutation."""
+        """True iff the pattern can be refined to this input permutation:
+        the wires in order of value carry nondecreasing symbols."""
         values = np.asarray(values)
         if values.shape != (self.n,):
             return False
         if sorted(map(int, values)) != list(range(self.n)):
             return False
-        prefix_max = -1
-        for _, wires in self.groups_in_order():
-            vals = [int(values[w]) for w in wires]
-            if min(vals) <= prefix_max:
-                return False
-            prefix_max = max(vals)
-        return True
+        return bool((np.diff(_keys(self)[np.argsort(values)]) >= 0).all())
 
     def refine_to_input(
         self, rng: np.random.Generator | None = None
@@ -191,40 +179,22 @@ class Pattern:
         wires always receive *consecutive* values -- the property
         Corollary 4.1.1 uses to place adjacent values on the special set.
         """
-        values = np.empty(self.n, dtype=np.int64)
-        next_value = 0
-        for _, wires in self.groups_in_order():
-            wires = list(wires)
-            if rng is not None:
-                rng.shuffle(wires)
-            for w in wires:
-                values[w] = next_value
-                next_value += 1
-        return values
+        return _refine(_keys(self), rng)
 
     def input_count(self) -> int:
         """``|p[V]|`` -- the number of inputs the pattern refines to."""
-        total = 1
-        for _, wires in self.groups_in_order():
-            total *= math.factorial(len(wires))
-        return total
+        _, sizes = np.unique(_keys(self), return_counts=True)
+        return math.prod(map(math.factorial, sizes.tolist()))
 
     def enumerate_inputs(self) -> Iterator[np.ndarray]:
         """Yield every input in ``p[V]`` (use only for small patterns)."""
-        groups = self.groups_in_order()
-        value_blocks: list[list[int]] = []
-        start = 0
-        for _, wires in groups:
-            value_blocks.append(list(range(start, start + len(wires))))
-            start += len(wires)
-        wire_lists = [wires for _, wires in groups]
-        for assignment in itertools.product(
-            *(itertools.permutations(block) for block in value_blocks)
-        ):
+        groups = [wires for _, wires in self.groups_in_order()]
+        wires = list(itertools.chain(*groups))
+        ends = np.cumsum([len(group) for group in groups]).tolist()
+        blocks = [range(end - len(group), end) for group, end in zip(groups, ends)]
+        for assignment in itertools.product(*map(itertools.permutations, blocks)):
             values = np.empty(self.n, dtype=np.int64)
-            for wires, block in zip(wire_lists, assignment):
-                for w, v in zip(wires, block):
-                    values[w] = v
+            values[wires] = list(itertools.chain(*assignment))
             yield values
 
     # -- renamings --------------------------------------------------------------
@@ -258,6 +228,34 @@ class Pattern:
             raise RefinementError(
                 f"pattern contains symbols other than S0/M0/L0: {sorted(extra, key=lambda s: s.key)}"
             )
+
+
+def _keys(pattern: "Pattern | np.ndarray") -> np.ndarray:
+    """An order-preserving integer key per wire: a code array as given,
+    or the dense rank of each wire's symbol in a :class:`Pattern`."""
+    if isinstance(pattern, Pattern):
+        rank = {s: r for r, s in enumerate(sort_symbols(pattern.symbol_set()))}
+        return np.fromiter(map(rank.__getitem__, pattern), dtype=np.int64)
+    keys = np.asarray(pattern)
+    if keys.ndim != 1 or keys.dtype.kind not in "iu":
+        raise PatternError(f"codes must be 1-D integers, got {keys.dtype} {keys.shape}")
+    return keys
+
+
+def _refine(keys: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Corollary 4.1.1's refinement of an order-preserving key per wire.
+
+    Wires are ranked by key, ties broken by wire index (a stable
+    argsort); with ``rng`` each tie group's slice of the rank order is
+    shuffled, groups in key order.  Wire of rank ``r`` gets value ``r``.
+    """
+    order = np.argsort(keys, kind="stable")
+    if rng is not None:
+        for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+            rng.shuffle(group)  # a view: shuffles its slice of ``order``
+    values = np.empty(keys.size, dtype=np.int64)
+    values[order] = np.arange(keys.size, dtype=np.int64)
+    return values
 
 
 def sml_pattern(

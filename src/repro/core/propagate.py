@@ -90,33 +90,24 @@ def apply_gate_symbolic(state: SymbolicState, gate: Gate) -> None:
     """
     a, b = gate.a, gate.b
     sa, sb = state.symbols[a], state.symbols[b]
-
-    def swap() -> None:
-        state.symbols[a], state.symbols[b] = state.symbols[b], state.symbols[a]
-        oa = state.origin.pop(a, None)
-        ob = state.origin.pop(b, None)
-        if oa is not None:
-            state.origin[b] = oa
-        if ob is not None:
-            state.origin[a] = ob
-
     if gate.op is Op.NOP:
         return
-    if gate.op is Op.SWAP:
-        swap()
-        return
-    # comparator ('+' or '-')
-    if sa is sb:
-        if a in state.origin or b in state.origin:
-            raise PropagationError(
-                f"tracked token meets an equal symbol {sa!r} at comparator "
-                f"({a}, {b}); noncollision precondition violated"
-            )
-        return  # both outputs carry the same symbol; no tracked motion
-    want_min_at_a = gate.op is Op.PLUS
-    a_is_min = sa < sb
-    if a_is_min != want_min_at_a:
-        swap()
+    if gate.op is not Op.SWAP:  # a comparator ('+' or '-')
+        if sa is sb:
+            if a in state.origin or b in state.origin:
+                raise PropagationError(
+                    f"tracked token meets an equal symbol {sa!r} at comparator "
+                    f"({a}, {b}); noncollision precondition violated"
+                )
+            return  # both outputs carry the same symbol; no tracked motion
+        if (sa < sb) == (gate.op is Op.PLUS):
+            return  # the min already leaves where the gate puts it
+    state.symbols[a], state.symbols[b] = sb, sa
+    oa, ob = state.origin.pop(a, None), state.origin.pop(b, None)
+    if oa is not None:
+        state.origin[b] = oa
+    if ob is not None:
+        state.origin[a] = ob
 
 
 def propagate(network: ComparatorNetwork, pattern: Pattern) -> Pattern:

@@ -23,11 +23,13 @@ Builder strategies
     argmin to pay about ``collisions / k^2`` per node -- the worst the
     averaging argument allows.
 
-The co-simulation mirrors :func:`repro.core.adversary.run_lemma41`
-exactly (same demotion, shift and merge rules); after building, the
-caller re-runs the real ``run_lemma41`` on the finished block, and the
-duel asserts both agree -- the mirror can steer construction but the
-reported numbers always come from the reference implementation.
+The co-simulation mirrors the rules of
+:func:`repro.core.adversary.run_lemma41` (same demotion, shift and merge
+rules) only to steer construction; nothing compares the two node by
+node.  The reported numbers come from the real adversary: the duel runs
+:func:`repro.core.iterate.run_adversary` on each finished block, and E9
+replays the assembled network through the whole adversary (its
+``full_rerun_consistent`` column).
 """
 
 from __future__ import annotations

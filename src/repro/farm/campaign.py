@@ -31,13 +31,13 @@ from pathlib import Path
 from typing import Any
 
 from .._util import json_native
-from ..errors import FarmError, ReproError
+from ..errors import FarmError
 from ..obs import events as obs_events
 from ..obs.trace import get_tracer
 from .heartbeat import HeartbeatWriter
 from .jobs import JOB_TYPES, Job, job_for
 from .runner import JobOutcome, RunReport, run_jobs
-from .store import ArtifactStore
+from .store import ArtifactStore, trusted_document
 
 __all__ = [
     "CAMPAIGN_FORMAT",
@@ -245,33 +245,25 @@ def run_campaign(
         to_run: list[Job] = []
         for job in jobs:
             key = job.key()
-            doc = store.get(key) if (resume and store is not None) else None
-            if doc is not None and doc.get("status") == "ok":
-                stored = doc.get("result")
-                valid = False
-                if isinstance(stored, dict):
-                    try:
-                        valid = job.revalidate(stored)
-                    except ReproError:
-                        # A raising revalidation means the artifact is
-                        # stale or corrupt: treat as a miss and rerun.
-                        # Anything outside the library hierarchy is a
-                        # bug and must surface, not silently recompute.
-                        valid = False
-                if valid:
-                    result.outcomes.append(
-                        JobOutcome(
-                            job=job,
-                            key=key,
-                            status="cached",
-                            result=stored,
-                            elapsed=float(doc.get("elapsed") or 0.0),
-                            attempts=0,
-                            cached=True,
-                        )
+            doc, refused = (
+                trusted_document(store, key, job.revalidate)
+                if resume and store is not None
+                else (None, False)
+            )
+            if doc is not None:
+                result.outcomes.append(
+                    JobOutcome(
+                        job=job,
+                        key=key,
+                        status="cached",
+                        result=doc["result"],
+                        elapsed=float(doc.get("elapsed") or 0.0),
+                        attempts=0,
+                        cached=True,
                     )
-                    continue
-                result.invalidated += 1
+                )
+                continue
+            result.invalidated += refused
             to_run.append(job)
 
         if resume and tracer.enabled:

@@ -37,7 +37,7 @@ from typing import Any, ClassVar
 
 import numpy as np
 
-from .._util import json_native
+from .._util import is_power_of_two, json_native
 from ..analysis.verify import MAX_ZERO_ONE_WIRES
 from ..errors import FarmError
 from .store import job_key
@@ -185,6 +185,30 @@ class AttackJob(Job):
         return cert.verify(net.to_network(), strict=False)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_buildable(job: "VerifyJob | LintJob") -> None:
+    """Refuse a sorter no worker can build: a registry name, at a
+    positive integer ``n`` (a power of two where the sorter needs one)."""
+    from ..sorters.registry import SORTER_REGISTRY
+
+    spec = SORTER_REGISTRY.get(job.sorter) if isinstance(job.sorter, str) else None
+    if spec is None:
+        raise FarmError(
+            f"{job.kind} job sorter must be one of {', '.join(SORTER_REGISTRY)}, "
+            f"got {job.sorter!r}"
+        )
+    if not _is_int(job.n) or job.n < 1:
+        raise FarmError(f"{job.kind} job n must be a positive integer, got {job.n!r}")
+    if spec.power_of_two_only and not is_power_of_two(job.n):
+        raise FarmError(
+            f"{job.kind} job sorter {job.sorter!r} needs a power-of-two n, "
+            f"got {job.n}"
+        )
+
+
 @dataclass(frozen=True)
 class VerifyJob(Job):
     """Exhaustive 0-1-principle verification of a named sorter."""
@@ -197,14 +221,13 @@ class VerifyJob(Job):
 
     def __post_init__(self) -> None:
         # serve parses requests through here: refuse what no worker can
-        # run (a foreign TypeError) or bound (a 2^n sweep past 2^24)
-        for name in ("n", "max_wires"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise FarmError(
-                    f"verify job {name} must be an integer, got {value!r}"
-                )
-        if not 1 <= self.n <= MAX_ZERO_ONE_WIRES:
+        # run (a foreign error on the pool) or bound (a 2^n sweep past 2^24)
+        _require_buildable(self)
+        if not _is_int(self.max_wires):
+            raise FarmError(
+                f"verify job max_wires must be an integer, got {self.max_wires!r}"
+            )
+        if self.n > MAX_ZERO_ONE_WIRES:
             raise FarmError(
                 f"verify job n must be in 1..{MAX_ZERO_ONE_WIRES}, got {self.n}"
             )
@@ -255,6 +278,9 @@ class LintJob(Job):
     sorter: str = "bitonic"
     n: int = 16
     select: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        _require_buildable(self)
 
     def execute(self) -> dict[str, Any]:
         """Lint the sorter; result carries the full report document."""

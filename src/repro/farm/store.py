@@ -56,6 +56,7 @@ __all__ = [
     "canonical_json",
     "job_key",
     "ArtifactStore",
+    "trusted_document",
     "cached",
 ]
 
@@ -269,6 +270,29 @@ class ArtifactStore:
         }
 
 
+def trusted_document(
+    store: ArtifactStore,
+    key: str,
+    revalidate: Callable[[dict[str, Any]], bool] | None = None,
+) -> tuple[dict[str, Any] | None, bool]:
+    """The trust boundary for a stored result: ``(document, refused)``.
+
+    The document is trusted (else ``None``) when its status is ``ok``,
+    its result an object and ``revalidate(result)`` holds; ``refused``
+    says an ``ok`` document was turned away.  A raising
+    :class:`~repro.errors.ReproError` refuses it; other errors propagate.
+    """
+    doc = store.get(key)
+    if doc is None or doc.get("status") != "ok":
+        return None, False
+    result = doc.get("result")
+    try:
+        valid = isinstance(result, dict) and (not revalidate or revalidate(result))
+    except ReproError:
+        valid = False
+    return (doc, False) if valid else (None, True)
+
+
 def cached(
     store: ArtifactStore | None,
     params: dict[str, Any],
@@ -278,35 +302,22 @@ def cached(
 ) -> tuple[dict[str, Any], bool]:
     """Memoise one experiment cell through a store; returns (result, hit).
 
-    ``params`` must fully determine the computation.  On a hit the cached
-    result is handed to ``revalidate`` first (e.g. re-verify a stored
-    certificate against the freshly rebuilt network); a failing or
-    raising revalidation is treated as a miss and the cell is recomputed
-    and rewritten, so stale or corrupted artifacts can never leak into a
-    table.  With ``store=None`` this is just ``compute()``.
+    ``params`` must fully determine the computation.  A hit must pass
+    :func:`trusted_document` with ``revalidate``; anything it refuses is
+    a miss, and the cell is recomputed and rewritten, so stale or
+    corrupted artifacts can never leak into a table.  With
+    ``store=None`` this is just ``compute()``.
     """
     tracer = get_tracer()
     if store is None:
         with tracer.span(obs_events.SPAN_CELL, cached=False):
             return compute(), False
     key = job_key({"format": STORE_FORMAT, "kind": "cell", "params": params})
-    doc = store.get(key)
-    if doc is not None and doc.get("status") == "ok":
-        result = doc.get("result")
-        if isinstance(result, dict):
-            try:
-                valid = revalidate is None or revalidate(result)
-            except ReproError:
-                # A raising revalidation means the artifact is stale or
-                # corrupt: treat as a miss and recompute.  Exceptions
-                # outside the library hierarchy are bugs and propagate.
-                valid = False
-            if valid:
-                if tracer.enabled:
-                    tracer.event(
-                        obs_events.EV_CACHE, key=key[:12], hit=True
-                    )
-                return result, True
+    doc, _ = trusted_document(store, key, revalidate)
+    if doc is not None:
+        if tracer.enabled:
+            tracer.event(obs_events.EV_CACHE, key=key[:12], hit=True)
+        return doc["result"], True
     # normalise before returning so cold and warm runs yield identical rows
     with tracer.span(obs_events.SPAN_CELL, key=key[:12], cached=False):
         result = json_native(compute())

@@ -6,9 +6,9 @@ tiers, cheapest first:
 1. an in-process LRU of result documents (``memory`` -- no disk, no
    revalidation: entries only enter this tier already trusted);
 2. the content-addressed :class:`~repro.farm.ArtifactStore` (``store``
-   -- the document is revalidated through the job's own trust boundary,
-   :meth:`repro.farm.jobs.Job.revalidate`, off the event loop, exactly
-   as a resumed farm campaign would revalidate it);
+   -- the document passes :func:`repro.farm.store.trusted_document`
+   with the job's own :meth:`repro.farm.jobs.Job.revalidate`, off the
+   event loop, exactly as a resumed farm campaign would trust it);
 3. the compute callback (``computed`` -- the batcher dispatches the job
    to the pre-fork worker pool and the result is persisted to the store
    before anyone sees it).
@@ -33,9 +33,8 @@ import asyncio
 from collections import OrderedDict
 from typing import Any, Awaitable, Callable
 
-from ..errors import ReproError
 from ..farm.jobs import Job
-from ..farm.store import ArtifactStore
+from ..farm.store import ArtifactStore, trusted_document
 from ..obs import events as obs_events
 from ..obs.registry import get_registry
 from ..obs.trace import get_tracer
@@ -70,29 +69,6 @@ class ServeCache:
         self._memory.move_to_end(key)
         while len(self._memory) > self.memory_size:
             self._memory.popitem(last=False)
-
-    def _stored_result(
-        self, job: Job, key: str
-    ) -> "tuple[dict[str, Any] | None, bool]":
-        """Load and revalidate one stored result, on a worker thread.
-
-        Returns ``(result, revalidation_missed)``; a missing, damaged
-        or invalid document is ``(None, ...)``.  Counters stay with the
-        async caller so they are only ever touched on the loop thread.
-        """
-        doc = self.store.get(key)
-        if doc is None or doc.get("status") != "ok":
-            return None, False
-        result = doc.get("result")
-        if not isinstance(result, dict):
-            return None, False
-        try:
-            valid = job.revalidate(result)
-        except ReproError:
-            valid = False
-        if not valid:
-            return None, True
-        return result, False
 
     async def lookup(
         self, job: Job, compute: ComputeFn
@@ -133,14 +109,14 @@ class ServeCache:
             # tier-2 disk access runs off the loop: the read + reval is
             # a one-time cost per key per process, but one cold read
             # must not stall every other connection
-            result, reval_miss = await asyncio.to_thread(
-                self._stored_result, job, key
+            doc, refused = await asyncio.to_thread(
+                trusted_document, self.store, key, job.revalidate
             )
-            if reval_miss:
+            if refused:
                 self.counters["revalidation_miss"] += 1
                 get_registry().inc("serve.cache.revalidation_miss")
-            if result is not None:
-                source = "store"
+            if doc is not None:
+                result, source = doc["result"], "store"
             else:
                 result = await compute(job)
                 await asyncio.to_thread(

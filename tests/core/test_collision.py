@@ -103,6 +103,18 @@ class TestCertificate:
         with pytest.raises(PatternError):
             noncolliding_certificate(net, p, [0])  # M(0) also on wire 2
 
+    @pytest.mark.parametrize(
+        "symbols, wires",
+        [
+            ([M(0)] + [L(0)] * 6 + [M(0)], [0, 7]),  # was "proved" noncolliding
+            ([M(0), M(0)], [0, 1]),  # was reported colliding
+        ],
+    )
+    def test_refuses_a_pattern_of_another_width(self, symbols, wires):
+        net = ComparatorNetwork(4, [[comparator(0, 1), comparator(2, 3)]])
+        with pytest.raises(PatternError, match="network has 4"):
+            noncolliding_certificate(net, Pattern(symbols), wires)
+
     def test_empty_and_singleton_trivial(self):
         net = ComparatorNetwork(2, [[comparator(0, 1)]])
         p = Pattern([M(0), L(0)])

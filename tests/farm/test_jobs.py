@@ -141,11 +141,37 @@ class TestVerifyJob:
             {"max_wires": None},
             {"n": 0},
             {"sorter": "insertion", "n": 30, "max_wires": 64},
+            {"sorter": "nope", "n": 8},
+            {"sorter": "bitonic", "n": 12},
+            {"sorter": ["x"], "n": 8},
         ],
     )
     def test_job_for_refuses_what_no_worker_can_run(self, params):
         with pytest.raises(FarmError, match="verify job"):
             job_for("verify", params)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"sorter": "nope", "n": 8},
+            {"sorter": "bitonic", "n": 12},
+            {"sorter": ["x"], "n": 8},
+            {"sorter": "insertion", "n": "8"},
+        ],
+    )
+    def test_lint_job_refuses_the_same_sorters(self, params):
+        with pytest.raises(FarmError, match="lint job"):
+            job_for("lint", params)
+
+    def test_every_buildable_registry_width_is_admitted(self):
+        """General sorters at any width, power-of-two-only ones at 4, 8, 16."""
+        from repro.sorters.registry import SORTER_REGISTRY
+
+        for name, spec in SORTER_REGISTRY.items():
+            widths = (4, 8, 16) if spec.power_of_two_only else range(1, 25)
+            for n in widths:
+                assert job_for("verify", {"sorter": name, "n": n}).n == n
+                assert job_for("lint", {"sorter": name, "n": n}).n == n
 
     def test_max_wires_itself_is_unbounded(self):
         # a refusal threshold, not a cost: only n bounds the sweep

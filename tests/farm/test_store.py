@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.errors import FarmError
-from repro.farm.store import ArtifactStore, cached, canonical_json, job_key
+from repro.farm.store import (
+    ArtifactStore,
+    cached,
+    canonical_json,
+    job_key,
+    trusted_document,
+)
 
 
 class TestCanonicalJson:
@@ -174,6 +180,48 @@ class TestReadCache:
         assert store.get(key) is not None
         path.unlink()
         assert store.get(key) is None
+
+
+def _refuse(result):
+    raise FarmError("corrupt")
+
+
+def _crash(result):
+    raise RuntimeError("bug in revalidator")
+
+
+class TestTrustedDocument:
+    """The one trust boundary every stored-result reader goes through."""
+
+    @pytest.mark.parametrize(
+        "doc, revalidate, want",
+        [
+            (None, None, (False, False)),  # missing
+            ({"status": "error", "result": {"v": 1}}, None, (False, False)),
+            ({"status": "ok", "result": [1]}, None, (False, True)),
+            ({"status": "ok", "result": {"v": 1}}, lambda r: False, (False, True)),
+            ({"status": "ok", "result": {"v": 1}}, _refuse, (False, True)),
+            ({"status": "ok", "result": {"v": 1}}, _crash, RuntimeError),
+            ({"status": "ok", "result": {"v": 1}}, lambda r: r == {"v": 1}, (True, False)),
+            ({"status": "ok", "result": {"v": 1}}, None, (True, False)),
+        ],
+        ids=[
+            "missing", "not-ok", "non-object-result", "revalidation-false",
+            "raising-repro-error", "raising-other-error", "valid", "no-revalidation",
+        ],
+    )
+    def test_trusts_only_a_valid_ok_document(self, tmp_path, doc, revalidate, want):
+        store = ArtifactStore(tmp_path / "s")
+        if doc is not None:
+            store.put("k" * 64, doc)
+        if want is RuntimeError:
+            with pytest.raises(RuntimeError, match="bug in revalidator"):
+                trusted_document(store, "k" * 64, revalidate)
+            return
+        got, refused = trusted_document(store, "k" * 64, revalidate)
+        assert (got is not None, refused) == want
+        if got is not None:
+            assert got["result"] == doc["result"]
 
 
 class TestCached:

@@ -166,6 +166,9 @@ class TestHttpSurface:
             {"sorter": "bitonic", "n": 16.0},
             {"sorter": "bitonic", "n": 16, "max_wires": "x"},
             {"sorter": "insertion", "n": 30, "max_wires": 64},
+            {"sorter": "nope", "n": 8},
+            {"sorter": "bitonic", "n": 12},
+            {"sorter": ["x"], "n": 8},
         ]
         with DaemonHarness(tmp_path / "store") as daemon:
             for params in bad:
