@@ -3,8 +3,8 @@
 Runs an in-process daemon (event loop on a background thread, real TCP
 sockets) and measures the three serving claims:
 
-* a *cold* request pays one farm-pool dispatch plus the verification
-  itself; a *warm* request is an in-memory cache hit, at least an order
+* a *cold* request pays one dispatch to the daemon's worker pool plus
+  the verification itself; a *warm* request is an in-memory cache hit, at least an order
   of magnitude faster at the median;
 * a closed loop of 8 concurrent clients sustains useful throughput
   (certificates/sec) with zero errors;
@@ -48,8 +48,7 @@ class _Daemon:
     def __init__(self, store_root):
         self.server = CertificateServer(
             ArtifactStore(store_root),
-            ServeSettings(port=0, workers=2, max_inflight=64,
-                          batch_delay=0.005),
+            ServeSettings(port=0, workers=2, max_inflight=64),
         )
         self.loop = asyncio.new_event_loop()
         self._ready = threading.Event()

@@ -269,8 +269,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         workers=args.workers,
         max_inflight=args.max_inflight,
-        max_batch=args.max_batch,
-        batch_delay=args.batch_delay,
         request_timeout=args.request_timeout,
         job_timeout=args.job_timeout,
     )
@@ -820,13 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", metavar="DIR", default="farm-store",
                    help="artifact store directory (default: farm-store)")
     p.add_argument("--workers", type=int, default=2,
-                   help="worker processes for cold-miss batches")
+                   help="worker processes, forked once, for cold misses")
     p.add_argument("--max-inflight", type=int, default=64,
                    help="admitted requests before answering 429")
-    p.add_argument("--max-batch", type=int, default=32,
-                   help="largest cold-miss batch per pool dispatch")
-    p.add_argument("--batch-delay", type=float, default=0.01,
-                   help="seconds to wait coalescing a cold-miss batch")
     p.add_argument("--request-timeout", type=float, default=300.0,
                    help="per-request budget before answering 504")
     p.add_argument("--job-timeout", type=float, default=None,

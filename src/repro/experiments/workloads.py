@@ -22,6 +22,7 @@ __all__ = [
     "random_permutation_batch",
     "almost_sorted_batch",
     "BLOCK_FAMILIES",
+    "ITERATED_FAMILIES",
     "block_family",
     "iterated_family",
     "seeded_family",
@@ -64,6 +65,10 @@ BLOCK_FAMILIES: dict[str, Callable[[int, np.random.Generator], ReverseDeltaNetwo
     "random": lambda n, rng: random_reverse_delta(n, rng),
     "random_sparse": lambda n, rng: random_reverse_delta(n, rng, p_gate=0.5),
 }
+
+
+#: Every name :func:`iterated_family` builds.
+ITERATED_FAMILIES: tuple[str, ...] = ("bitonic", "random_iterated", *BLOCK_FAMILIES)
 
 
 def block_family(name: str) -> Callable[[int, np.random.Generator], ReverseDeltaNetwork]:

@@ -106,6 +106,10 @@ class Job:
         return True
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AttackJob(Job):
     """Run the adversary against a family instance or embedded circuit."""
@@ -121,6 +125,35 @@ class AttackJob(Job):
     #: when set it replaces the family parameters and is hashed verbatim,
     #: so the key addresses the circuit *content*.
     network: dict[str, Any] | None = None
+
+    def __post_init__(self) -> None:
+        # serve parses requests through here: refuse field types no
+        # worker can run (deeper payload checks stay in the worker)
+        from ..experiments.workloads import ITERATED_FAMILIES
+
+        if not isinstance(self.family, str) or self.family not in ITERATED_FAMILIES:
+            raise FarmError(
+                f"attack job family must be one of {', '.join(ITERATED_FAMILIES)}, "
+                f"got {self.family!r}"
+            )
+        if not _is_int(self.n) or not is_power_of_two(self.n):
+            raise FarmError(
+                f"attack job n must be a power-of-two integer, got {self.n!r}"
+            )
+        if not _is_int(self.blocks) or self.blocks < 0:
+            raise FarmError(
+                f"attack job blocks must be a non-negative integer, "
+                f"got {self.blocks!r}"
+            )
+        if self.k is not None and (not _is_int(self.k) or self.k < 1):
+            raise FarmError(
+                f"attack job k must be a positive integer or null, got {self.k!r}"
+            )
+        if self.network is not None and not isinstance(self.network, dict):
+            raise FarmError(
+                f"attack job network must be an object or null, "
+                f"got {type(self.network).__name__}"
+            )
 
     def build_network(self):
         """(Re)build the attack target deterministically from the spec."""
@@ -183,10 +216,6 @@ class AttackJob(Job):
             net = recognize_iterated_rdn(net)
         cert = NonSortingCertificate.from_json(cert_doc)
         return cert.verify(net.to_network(), strict=False)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require_buildable(job: "VerifyJob | LintJob") -> None:

@@ -23,6 +23,12 @@ Failure semantics:
 Workers ignore SIGINT themselves (the parent owns cancellation), and
 results are persisted by the parent only, so a store is never written
 from two processes at once.
+
+A campaign forks its own pool for each :func:`run_jobs` call.  A
+long-lived caller (the certificate daemon) forks workers once with
+:func:`start_workers` and passes them as ``pool=``: the call then forks
+nothing and shuts nothing down, and a worker that dies or times out is
+replaced in place in the caller's list.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from ..obs.trace import Tracer, get_tracer, reset_context, set_tracer, use_trace
 from .heartbeat import HeartbeatWriter
 from .jobs import Job, job_from_json
 
-__all__ = ["JobOutcome", "RunReport", "run_jobs"]
+__all__ = ["JobOutcome", "RunReport", "run_jobs", "start_workers", "stop_workers"]
 
 logger = logging.getLogger("repro.farm")
 
@@ -124,6 +130,10 @@ def _worker_main(conn: Connection) -> None:
     adoption flow.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # a child forked under an asyncio loop's signal handlers would
+    # otherwise write every signal it gets to the parent's wakeup fd,
+    # and the parent's loop would act on it as its own (a drain)
+    signal.set_wakeup_fd(-1)
     # a forked child must never inherit the parent's tracer, open span,
     # or metrics registry
     set_tracer(None)
@@ -180,17 +190,19 @@ class _Worker:
 
     def __init__(self, ctx):
         self.conn, child = ctx.Pipe(duplex=True)
-        # Deliberately forked from the batcher's dispatcher thread when
-        # serving: the child runs _worker_main, which re-seeds rng state
-        # and rebuilds its own registry/tracer before touching anything
-        # inherited, and the farm's fork-safety rules (flow/fork-hostile
-        # -call, forksafety/*) keep the worker's reachable set free of
+        # A replacement is forked from the thread running run_jobs (the
+        # daemon runs it off its event loop): the child runs
+        # _worker_main, which re-seeds rng state and rebuilds its own
+        # registry/tracer before touching anything inherited, and the
+        # farm's fork-safety rules (flow/fork-hostile-call,
+        # forksafety/*) keep the worker's reachable set free of
         # inherited locks and handles.
         self.process = ctx.Process(  # sanitize: ok[race/fork-after-thread]
             target=_worker_main, args=(child,), daemon=True
         )
         self.process.start()
         child.close()
+        get_registry().inc("farm.workers_started")
         self.item: "_Pending | None" = None
         self.started = 0.0
         self.jobs_done = 0
@@ -206,13 +218,16 @@ class _Worker:
         *,
         metrics: bool = False,
     ) -> None:
-        self.conn.send({
-            "job": item.job.to_json(),
-            "trace": trace_ctx,
-            "metrics": metrics,
-        })
         self.item = item
         self.started = time.monotonic()
+        try:
+            self.conn.send({
+                "job": item.job.to_json(),
+                "trace": trace_ctx,
+                "metrics": metrics,
+            })
+        except (BrokenPipeError, OSError):
+            pass  # died since the liveness check: reaped as a death
 
     def kill(self) -> None:
         """Terminate the process, escalating to SIGKILL if needed."""
@@ -254,6 +269,18 @@ def _mp_context():
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
+def start_workers(count: int) -> "list[_Worker]":
+    """Fork ``count`` workers to pass as :func:`run_jobs`'s ``pool``."""
+    ctx = _mp_context()
+    return [_Worker(ctx) for _ in range(count)]
+
+
+def stop_workers(pool: "list[_Worker]") -> None:
+    """Shut down idle workers started by :func:`start_workers`."""
+    for worker in pool:
+        worker.shutdown()
+
+
 def run_jobs(
     jobs: list[Job],
     *,
@@ -263,6 +290,7 @@ def run_jobs(
     backoff: float = 0.5,
     on_result: Callable[[JobOutcome], None] | None = None,
     heartbeat: "HeartbeatWriter | None" = None,
+    pool: "list[_Worker] | None" = None,
 ) -> RunReport:
     """Execute ``jobs`` on a pool of ``workers`` processes.
 
@@ -273,6 +301,9 @@ def run_jobs(
     ``heartbeat`` (a :class:`~repro.farm.heartbeat.HeartbeatWriter`)
     publishes runner/worker liveness files while the pool runs; the
     writer rate-limits itself, so the runner beats every loop pass.
+    ``pool`` (from :func:`start_workers`) runs the jobs on those idle
+    workers instead of forking ``workers`` new ones; they stay alive
+    after the call, and a dead or timed-out one is replaced in place.
     """
     if workers < 1:
         raise FarmError(f"workers must be >= 1, got {workers}")
@@ -286,7 +317,9 @@ def run_jobs(
     pending = [_Pending(job=j, key=j.key(), queued_at=now0) for j in jobs]
     queue: list[_Pending] = list(pending)
     ctx = _mp_context()
-    pool: list[_Worker] = []
+    owned = pool is None
+    if pool is None:
+        pool = []
     failed = 0
 
     def finish(outcome: JobOutcome) -> None:
@@ -381,6 +414,13 @@ def run_jobs(
             )
         )
 
+    def replace(worker: _Worker) -> _Worker:
+        """Kill ``worker`` and fork its successor into its pool slot."""
+        worker.kill()
+        fresh = _Worker(ctx)
+        pool[pool.index(worker)] = fresh
+        return fresh
+
     def reap(worker: _Worker) -> None:
         """Collect one ready result (or a dead worker) off the pipe."""
         item = worker.item
@@ -390,8 +430,7 @@ def run_jobs(
             msg = worker.conn.recv()
         except (EOFError, OSError):
             # the worker died without reporting; replace it
-            worker.kill()
-            pool[pool.index(worker)] = _Worker(ctx)
+            replace(worker)
             close_job_span(item, "died")
             if tracer.enabled:
                 tracer.event(
@@ -405,7 +444,8 @@ def run_jobs(
             settle_failure(
                 item,
                 "error",
-                "worker process died unexpectedly",
+                f"worker process {worker.process.pid} died unexpectedly "
+                f"(exit code {worker.process.exitcode})",
                 time.monotonic() - worker.started,
             )
             return
@@ -446,8 +486,7 @@ def run_jobs(
         assert item is not None
         elapsed = time.monotonic() - worker.started
         worker.item = None
-        worker.kill()
-        pool[pool.index(worker)] = _Worker(ctx)
+        replace(worker)
         close_job_span(item, "timeout")
         if tracer.enabled:
             tracer.event(
@@ -467,8 +506,9 @@ def run_jobs(
 
     interrupted = False
     try:
-        size = min(workers, max(len(jobs), 1))
-        pool.extend(_Worker(ctx) for _ in range(size))
+        if owned:
+            size = min(workers, max(len(jobs), 1))
+            pool.extend(_Worker(ctx) for _ in range(size))
         beat(force=True)
         while True:
             now = time.monotonic()
@@ -494,6 +534,9 @@ def run_jobs(
                     item.span_id = tracer.allocate_id()
                     item.span_start = time.time()
                     trace_ctx = tracer.child_context(item.span_id)
+                if not worker.process.is_alive():
+                    # died while idle (a caller-owned pool outlives jobs)
+                    worker = replace(worker)
                 worker.dispatch(item, trace_ctx, metrics=registry.enabled)
             beat()
             busy = [w for w in pool if w.busy]
@@ -559,9 +602,9 @@ def run_jobs(
     finally:
         beat(force=True)
         for worker in pool:
-            if interrupted or worker.busy:
+            if worker.busy or (owned and interrupted):
                 worker.kill()
-            else:
+            elif owned:
                 worker.shutdown()
     report.interrupted = interrupted
     report.wall_time = time.perf_counter() - start_wall

@@ -5,8 +5,8 @@ long-lived queryable service.  A request names a farm job (an adversary
 run against a network, or a 0-1 verification of a registry sorter); the
 daemon answers from an in-process LRU, the content-addressed artifact
 store (revalidated through the job's own trust boundary), or -- on a
-cold miss -- by coalescing jobs into batches on the pre-fork worker
-pool.  Identical requests return byte-identical certificate documents.
+cold miss -- by running the job on the daemon's long-lived worker pool.
+Identical requests return byte-identical certificate documents.
 
 Layering (each module depends only on those above it):
 
@@ -16,7 +16,8 @@ Layering (each module depends only on those above it):
     Read-through memory -> store -> compute lookup with single-flight
     deduplication of concurrent identical requests.
 :mod:`~repro.serve.batcher`
-    Cold-miss coalescing onto :func:`repro.farm.runner.run_jobs`.
+    Cold-miss dispatch: each job leases an idle worker of the pool the
+    daemon forks once, through :func:`repro.farm.runner.run_jobs`.
 :mod:`~repro.serve.server`
     The asyncio HTTP front end: backpressure, timeouts, graceful drain.
 :mod:`~repro.serve.client`

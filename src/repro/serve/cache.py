@@ -9,14 +9,18 @@ tiers, cheapest first:
    -- the document passes :func:`repro.farm.store.trusted_document`
    with the job's own :meth:`repro.farm.jobs.Job.revalidate`, off the
    event loop, exactly as a resumed farm campaign would trust it);
-3. the compute callback (``computed`` -- the batcher dispatches the job
-   to the pre-fork worker pool and the result is persisted to the store
+3. the compute callback (``computed`` -- the batcher runs the job on
+   the daemon's worker pool and the result is persisted to the store
    before anyone sees it).
 
 Concurrent identical requests are *single-flighted*: the first caller
-computes, every later caller awaits the same future and reports source
-``joined``.  This is what turns a thundering herd of identical cold
-requests into exactly one adversary run.
+starts one *flight* task per key (store read, compute, store put,
+memory insert), every later caller awaits the same task and reports
+source ``joined``.  This is what turns a thundering herd of identical
+cold requests into exactly one adversary run.  Callers await the
+flight through :func:`asyncio.shield`, so a request that times out
+(the daemon's 504) leaves the job running: it still lands in the store
+and the memory tier, and a retry is a warm hit.
 
 Blocking discipline (checked by ``repro race``): the event loop never
 touches the disk.  Tier-2 store reads and the post-compute store write
@@ -52,7 +56,7 @@ class ServeCache:
         self.store = store
         self.memory_size = max(0, int(memory_size))
         self._memory: OrderedDict[str, dict[str, Any]] = OrderedDict()
-        self._inflight: dict[str, asyncio.Future] = {}
+        self._inflight: dict[str, asyncio.Task] = {}
         #: Lookup counts by source, plus revalidation failures.
         self.counters: dict[str, int] = {
             "memory": 0,
@@ -70,6 +74,16 @@ class ServeCache:
         while len(self._memory) > self.memory_size:
             self._memory.popitem(last=False)
 
+    def _count(self, job: Job, key: str, source: str) -> None:
+        self.counters[source] += 1
+        get_registry().inc(f"serve.cache.{source}")
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event(
+                obs_events.EV_SERVE_CACHE,
+                key=key[:12], source=source, op=job.kind,
+            )
+
     async def lookup(
         self, job: Job, compute: ComputeFn
     ) -> tuple[dict[str, Any], str]:
@@ -80,31 +94,29 @@ class ServeCache:
         raises; joined waiters see the same exception.
         """
         key = job.key()
-        tracer = get_tracer()
         hit = self._memory.get(key)
         if hit is not None:
             self._memory.move_to_end(key)
-            self.counters["memory"] += 1
-            get_registry().inc("serve.cache.memory")
-            if tracer.enabled:
-                tracer.event(
-                    obs_events.EV_SERVE_CACHE,
-                    key=key[:12], source="memory", op=job.kind,
-                )
+            self._count(job, key, "memory")
             return hit, "memory"
-        shared = self._inflight.get(key)
-        if shared is not None:
-            result = await asyncio.shield(shared)
-            self.counters["joined"] += 1
-            get_registry().inc("serve.cache.joined")
-            if tracer.enabled:
-                tracer.event(
-                    obs_events.EV_SERVE_CACHE,
-                    key=key[:12], source="joined", op=job.kind,
-                )
+        flight = self._inflight.get(key)
+        if flight is not None:
+            result, _ = await asyncio.shield(flight)
+            self._count(job, key, "joined")
             return result, "joined"
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
+        flight = asyncio.get_running_loop().create_task(
+            self._fly(job, key, compute)
+        )
+        self._inflight[key] = flight
+        # retrieved here: when every caller gave up, nobody else reads
+        # a failed flight's exception, and asyncio would log it at GC
+        flight.add_done_callback(lambda f: f.cancelled() or f.exception())
+        return await asyncio.shield(flight)
+
+    async def _fly(
+        self, job: Job, key: str, compute: ComputeFn
+    ) -> tuple[dict[str, Any], str]:
+        """One key's flight: store tier, else compute and persist."""
         try:
             # tier-2 disk access runs off the loop: the read + reval is
             # a one-time cost per key per process, but one cold read
@@ -126,20 +138,7 @@ class ServeCache:
                 )
                 source = "computed"
             self._remember(key, result)
-            future.set_result(result)
-        except BaseException as exc:
-            future.set_exception(exc)
-            # consume the exception so a flight nobody joined does not
-            # log "exception was never retrieved" at GC time
-            future.exception()
-            raise
         finally:
             self._inflight.pop(key, None)
-        self.counters[source] += 1
-        get_registry().inc(f"serve.cache.{source}")
-        if tracer.enabled:
-            tracer.event(
-                obs_events.EV_SERVE_CACHE,
-                key=key[:12], source=source, op=job.kind,
-            )
+        self._count(job, key, source)
         return result, source

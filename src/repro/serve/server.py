@@ -8,7 +8,7 @@ no web framework, matching the repo's stdlib-only rule):
     Body: one :class:`~repro.serve.protocol.ServeRequest` document.
     The request is mapped to a farm job, resolved through the
     :class:`~repro.serve.cache.ServeCache` (memory -> store ->
-    batched compute on the pre-fork pool), and answered with a
+    compute on the daemon's long-lived worker pool), and answered with a
     :class:`~repro.serve.protocol.ServeResponse`.  Identical requests
     return byte-identical ``result`` documents; only the envelope's
     ``source`` differs between cold and warm calls.
@@ -28,7 +28,8 @@ Operational behaviour, mirroring the farm runner's discipline:
   beyond that the daemon answers ``429`` immediately (with an
   ``EV_SERVE_REJECT`` event) instead of queueing unboundedly.
 * **Timeouts** -- a request that exceeds ``request_timeout`` answers
-  ``504``; the underlying job keeps its own per-job pool timeout.
+  ``504``; the underlying job keeps running (under its own per-job pool
+  timeout) and lands in the store, so a retry is a warm hit.
 * **Graceful drain** -- SIGTERM/SIGINT stop the listener, answer new
   requests ``503``, wait for in-flight work to land (results are
   persisted to the store as they complete, like the farm's
@@ -38,7 +39,7 @@ Operational behaviour, mirroring the farm runner's discipline:
   connection handler; the daemon keeps serving.
 
 Every admitted request runs under a ``serve.request`` span, so one
-trace file tells the whole story: request -> cache decision -> batch
+trace file tells the whole story: request -> cache decision -> pool
 dispatch -> farm job -> store put.
 """
 
@@ -101,8 +102,6 @@ class ServeSettings:
         port: int = 8642,
         workers: int = 2,
         max_inflight: int = 64,
-        max_batch: int = 32,
-        batch_delay: float = 0.01,
         request_timeout: float = 300.0,
         job_timeout: "float | None" = None,
         memory_size: int = 1024,
@@ -111,8 +110,6 @@ class ServeSettings:
         self.port = int(port)
         self.workers = max(1, int(workers))
         self.max_inflight = max(1, int(max_inflight))
-        self.max_batch = max(1, int(max_batch))
-        self.batch_delay = max(0.0, float(batch_delay))
         self.request_timeout = max(0.1, float(request_timeout))
         self.job_timeout = job_timeout
         self.memory_size = max(0, int(memory_size))
@@ -127,8 +124,6 @@ class CertificateServer:
         self.cache = ServeCache(store, memory_size=self.settings.memory_size)
         self.batcher = Batcher(
             workers=self.settings.workers,
-            max_batch=self.settings.max_batch,
-            max_delay=self.settings.batch_delay,
             job_timeout=self.settings.job_timeout,
             retries=0,
         )
@@ -394,12 +389,14 @@ class CertificateServer:
     # -- lifecycle ----------------------------------------------------------
 
     def _begin_serving(self) -> None:
-        """Shared start-up: uptime clock, global registry, sample tick."""
+        """Shared start-up: uptime clock, global registry, sample tick,
+        then the worker pool (forked once, counted in the registry)."""
         self.started = time.monotonic()
         self._previous_registry = set_registry(self.registry)
         self._sampler = asyncio.get_running_loop().create_task(
             self._sample_loop()
         )
+        self.batcher.start()
 
     async def _end_serving(self) -> None:
         """Shared teardown: stop sampling, restore the global registry."""
@@ -464,7 +461,6 @@ class CertificateServer:
             loop.add_signal_handler(
                 flight_signum, self._dump_flight, recorder
             )
-        self.batcher.start()
         self._begin_serving()
         self._server = await asyncio.start_server(
             self._handle_connection, self.settings.host, self.settings.port
@@ -504,7 +500,6 @@ class CertificateServer:
         Test harnesses use this with :meth:`stop` for in-process
         lifecycle control; ``repro serve`` uses :meth:`serve_forever`.
         """
-        self.batcher.start()
         self._begin_serving()
         self._server = await asyncio.start_server(
             self._handle_connection, self.settings.host, self.settings.port

@@ -102,6 +102,39 @@ class TestAttackJob:
         assert result["certificate"] is not None
         assert not other.revalidate(result)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"family": "nope"},
+            {"family": ["x"]},
+            {"n": 100},
+            {"n": "64"},
+            {"n": 0},
+            {"n": True},
+            {"blocks": 2.5},
+            {"blocks": -1},
+            {"blocks": True},
+            {"k": "x"},
+            {"k": 0},
+            {"k": True},
+            {"network": [1]},
+        ],
+    )
+    def test_job_for_refuses_what_no_worker_can_run(self, params):
+        with pytest.raises(FarmError, match="attack job"):
+            job_for("attack", params)
+
+    def test_every_family_is_admitted_and_builds(self):
+        from repro.experiments.workloads import ITERATED_FAMILIES
+
+        for family in ITERATED_FAMILIES:
+            for n in (1, 2, 4):
+                for blocks in (0, 1):
+                    job = job_for(
+                        "attack", {"family": family, "n": n, "blocks": blocks}
+                    )
+                    assert job.build_network().n == n
+
     def test_embedded_network_attack(self):
         from repro.networks import bitonic_iterated_rdn
 

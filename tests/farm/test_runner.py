@@ -1,10 +1,14 @@
 """Tests for the worker-pool executor: statuses, retries, timeouts."""
 
+import os
+import signal
+
 import pytest
 
 from repro.errors import FarmError
 from repro.farm.jobs import AttackJob, SleepJob
-from repro.farm.runner import run_jobs
+from repro.farm.runner import run_jobs, start_workers, stop_workers
+from repro.obs.registry import MetricsRegistry, use_registry
 
 
 class TestRunJobs:
@@ -93,3 +97,55 @@ class TestRunJobs:
     def test_invalid_retries_rejected(self):
         with pytest.raises(FarmError, match="retries"):
             run_jobs([], retries=-1)
+
+
+class TestCallerOwnedPool:
+    """``pool=``: workers forked once, kept across ``run_jobs`` calls."""
+
+    def test_runs_on_the_given_workers_and_forks_nothing(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            pool = start_workers(2)
+            try:
+                pids = [w.process.pid for w in pool]
+                for round_ in range(3):
+                    report = run_jobs(
+                        [SleepJob(tag=f"{round_}-{i}") for i in range(4)],
+                        workers=2, pool=pool,
+                    )
+                    assert report.by_status() == {"ok": 4}
+                # the same two processes, alive after every call
+                assert [w.process.pid for w in pool] == pids
+                assert all(w.process.is_alive() for w in pool)
+            finally:
+                stop_workers(pool)
+        assert registry.snapshot()["counters"]["farm.workers_started"][
+            "value"] == 2
+
+    def test_worker_dead_while_idle_is_replaced_at_dispatch(self):
+        pool = start_workers(1)
+        try:
+            dead = pool[0]
+            os.kill(dead.process.pid, signal.SIGKILL)
+            dead.process.join(5)
+            report = run_jobs([SleepJob(tag="a")], pool=pool)
+            assert report.by_status() == {"ok": 1}
+            assert pool[0] is not dead and pool[0].process.is_alive()
+        finally:
+            stop_workers(pool)
+
+    def test_timeout_replaces_the_worker_in_place(self):
+        pool = start_workers(1)
+        try:
+            slow = pool[0]
+            report = run_jobs(
+                [SleepJob(duration=30.0, tag="slow")], pool=pool, timeout=0.3
+            )
+            assert report.outcomes[0].status == "timeout"
+            assert pool[0] is not slow and pool[0].process.is_alive()
+            # the replacement takes the next call's job
+            assert run_jobs([SleepJob(tag="b")], pool=pool).by_status() == {
+                "ok": 1
+            }
+        finally:
+            stop_workers(pool)

@@ -48,22 +48,36 @@ def run_debug(coro, caplog):
 
 class TestBatcherDrain:
     def test_stop_fails_futures_already_pulled_into_the_batch(
-        self, caplog
+        self, caplog, monkeypatch
     ):
-        # With a long coalescing window the dispatcher has dequeued the
-        # first item and is waiting for more; stop() must fail that
-        # item's future too, not just what is still in the queue.
+        # The one worker is held by a dispatch stuck on its thread, so
+        # the second job waits in line for it; stop() must fail that
+        # waiter too, not just the job already on the pool.
+        release = threading.Event()
+
+        def stuck_run_jobs(jobs, **kwargs):
+            release.wait(10)
+            raise FarmError("nobody should read this")
+
+        monkeypatch.setattr(
+            "repro.serve.batcher.run_jobs", stuck_run_jobs
+        )
+
         async def scenario():
-            batcher = Batcher(workers=1, max_batch=8, max_delay=30.0)
+            batcher = Batcher(workers=1)
             tasks = [
                 asyncio.create_task(batcher.submit(job_for("verify", p)))
                 for p in (JOB_A, JOB_B)
             ]
-            await asyncio.sleep(0.05)  # both enqueued, window open
+            await asyncio.sleep(0.05)  # one dispatched, one waiting
             await batcher.stop()
-            return await asyncio.wait_for(
-                asyncio.gather(*tasks, return_exceptions=True), timeout=10
-            )
+            try:
+                return await asyncio.wait_for(
+                    asyncio.gather(*tasks, return_exceptions=True),
+                    timeout=10,
+                )
+            finally:
+                release.set()
 
         results = run_debug(scenario(), caplog)
         assert len(results) == 2
@@ -89,7 +103,7 @@ class TestBatcherDrain:
         )
 
         async def scenario():
-            batcher = Batcher(workers=1, max_batch=1, max_delay=0.0)
+            batcher = Batcher(workers=1)
             task = asyncio.create_task(
                 batcher.submit(job_for("verify", JOB_A))
             )
@@ -106,9 +120,9 @@ class TestBatcherDrain:
     def test_dispatcher_crash_fails_the_batch_not_the_daemon(
         self, caplog, monkeypatch
     ):
-        # A pool-level failure (spin-up, pickling) must fail the
-        # batch's waiters with a ServeError and leave the dispatcher
-        # alive for the next batch.
+        # A pool-level failure (a fork, pickling) must fail only that
+        # request with a ServeError and hand the worker back for the
+        # next one.
         def exploding_run_jobs(jobs, **kwargs):
             raise FarmError("pool exploded")
 
@@ -117,13 +131,13 @@ class TestBatcherDrain:
         )
 
         async def scenario():
-            batcher = Batcher(workers=1, max_batch=2, max_delay=0.01)
+            batcher = Batcher(workers=1)
             first = await asyncio.gather(
                 batcher.submit(job_for("verify", JOB_A)),
                 batcher.submit(job_for("verify", JOB_B)),
                 return_exceptions=True,
             )
-            assert batcher._task is not None and not batcher._task.done()
+            assert len(batcher._idle) == 1  # the worker is back in the pool
             second = await asyncio.gather(
                 batcher.submit(job_for("verify", JOB_A)),
                 return_exceptions=True,
@@ -140,7 +154,7 @@ class TestBatcherDrain:
     def test_clean_dispatch_still_resolves_results(self, caplog):
         # the hardening must not break the happy path
         async def scenario():
-            batcher = Batcher(workers=1, max_batch=2, max_delay=0.01)
+            batcher = Batcher(workers=1)
             result = await batcher.submit(job_for("verify", JOB_A))
             await batcher.stop()
             return result

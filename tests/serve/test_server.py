@@ -8,6 +8,7 @@ these tests exercise the whole wire path without a subprocess.
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 
@@ -25,13 +26,25 @@ ATTACK_PARAMS = {
     "family": "random_iterated", "n": 32, "blocks": 2, "seed": 5,
 }
 
+#: ~0.4-0.7 s of adversary work at 2^14 wires: long enough to hold a
+#: worker (or the one admitted slot) while a test acts around it.
+SLOW_ATTACK_PARAMS = {
+    "family": "random_iterated", "n": 16384, "blocks": 3, "seed": 1,
+}
+
+
+def wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
 
 class DaemonHarness:
     """One in-process daemon on a background event-loop thread."""
 
     def __init__(self, store_root, **settings):
         settings.setdefault("port", 0)
-        settings.setdefault("batch_delay", 0.005)
         self.store = ArtifactStore(store_root)
         self.server = CertificateServer(self.store, ServeSettings(**settings))
         self.loop = asyncio.new_event_loop()
@@ -170,10 +183,22 @@ class TestHttpSurface:
             {"sorter": "bitonic", "n": 12},
             {"sorter": ["x"], "n": 8},
         ]
+        bad_attacks = [
+            {"family": "nope"},
+            {"n": 100},
+            {"n": "64"},
+            {"blocks": 2.5},
+            {"k": "x"},
+            {"n": True},
+            {"k": True},
+            {"blocks": -1},
+        ]
         with DaemonHarness(tmp_path / "store") as daemon:
-            for params in bad:
+            for op, params in [("verify", p) for p in bad] + [
+                ("attack", p) for p in bad_attacks
+            ]:
                 with pytest.raises(ServeHTTPError) as excinfo:
-                    daemon.client.query("verify", params)
+                    daemon.client.query(op, params)
                 assert excinfo.value.status == 400, params
             assert daemon.client.stats()["dispatched"] == 0
 
@@ -243,30 +268,34 @@ class TestStatszV2:
 
 class TestBackpressure:
     def test_requests_beyond_max_inflight_get_429(self, tmp_path):
-        with DaemonHarness(
-            tmp_path / "store", max_inflight=1, batch_delay=0.2
-        ) as daemon:
+        with DaemonHarness(tmp_path / "store", max_inflight=1) as daemon:
             results = []
-            barrier = threading.Barrier(4)
 
-            def call(n):
-                client = daemon.client
-                barrier.wait()
+            def call(op, params):
                 try:
-                    response = client.query(
-                        "verify", {"sorter": "oddeven_transposition", "n": n}
-                    )
+                    response = daemon.client.query(op, params)
                     results.append(("ok", response.source))
                 except ServeHTTPError as exc:
                     results.append(("rejected", exc.status))
 
+            # a slow attack holds the one admitted slot ...
+            slow = threading.Thread(
+                target=call, args=("attack", SLOW_ATTACK_PARAMS)
+            )
+            slow.start()
+            wait_until(lambda: daemon.server.inflight == 1)
+            # ... while three more requests arrive
             threads = [
-                threading.Thread(target=call, args=(4 + 2 * i,))
-                for i in range(4)
+                threading.Thread(
+                    target=call,
+                    args=("verify",
+                          {"sorter": "oddeven_transposition", "n": 4 + 2 * i}),
+                )
+                for i in range(3)
             ]
             for t in threads:
                 t.start()
-            for t in threads:
+            for t in threads + [slow]:
                 t.join()
             stats = daemon.client.stats()
         rejected = [r for r in results if r[0] == "rejected"]

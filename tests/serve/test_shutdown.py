@@ -32,7 +32,7 @@ def launch_daemon(store_path):
         [
             sys.executable, "-m", "repro", "serve",
             "--port", "0", "--store", str(store_path),
-            "--workers", "1", "--batch-delay", "0.01",
+            "--workers", "1",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
